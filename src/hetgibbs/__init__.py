@@ -53,13 +53,10 @@ from .metrics import (
     waic,
 )
 from .mlg import (
-    ClampCounter,
     CmlgParams,
     ConditioningError,
     MlgParams,
-    TruncationError,
     cmlg_sample,
-    cmlg_sample_truncated,
     log_gamma_sample,
     mlg_gaussian_limit_params,
     mlg_log_density,

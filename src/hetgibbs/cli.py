@@ -101,7 +101,6 @@ _SCHEMA = {
         "thin": int,
         "seed": int,
         "chains": int,
-        "variance_sampler": str,
     },
     "esvm": {
         "enabled": _parse_bool,
@@ -241,7 +240,6 @@ def _gibbs_config(cfg: dict) -> GibbsConfig:
         thin=_get(cfg, "sampler", "thin", 1),
         seed=_get(cfg, "sampler", "seed", 0),
         chains=_get(cfg, "sampler", "chains", 1),
-        variance_sampler=_get(cfg, "sampler", "variance_sampler", "exact"),
     )
 
 
@@ -286,11 +284,13 @@ def _build_from_config(cfg: dict):
 
     if _get(cfg, "esvm", "enabled", False):
         t_name = _get(cfg, "data", "time_index", None)
+        file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
         if t_name is not None:
             if t_name not in dataset.columns:
                 raise KeyError(f"unknown time_index column {t_name!r}")
             order = np.argsort(dataset.columns[t_name], kind="stable")
             dataset = dataset.subset(order)
+            file_row = file_row[order]
         returns = dataset.y
         keep = np.isfinite(returns)
         dropped = int(returns.shape[0] - keep.sum())
@@ -307,6 +307,11 @@ def _build_from_config(cfg: dict):
                 col = dataset.columns[name]
                 if col.dtype.kind != "f":
                     raise ValueError(f"extra input column {name!r} is not numeric")
+                bad = keep & ~np.isfinite(col)
+                if bad.any():
+                    raise ValueError(
+                        f"extra input column {name!r} is not finite in data row {int(file_row[bad].min())}"
+                    )
                 cols.append(col[keep])
             extra = np.column_stack(cols)
         include_lag = _get(cfg, "esvm", "lag_feature", True)
@@ -595,7 +600,6 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         ("sampler", "iterations", "iterations"),
         ("sampler", "burn_in", "burn_in"),
         ("sampler", "thin", "thin"),
-        ("sampler", "variance_sampler", "variance_sampler"),
         ("cv", "folds", "folds"),
     ]
     for section, key, attr in pairs:
@@ -621,8 +625,6 @@ def main(argv=None) -> int:
         p.add_argument("--iterations", type=int, help="override sampler.iterations")
         p.add_argument("--burn-in", dest="burn_in", type=int, help="override sampler.burn_in")
         p.add_argument("--thin", type=int, help="override sampler.thin")
-        p.add_argument("--variance-sampler", dest="variance_sampler",
-                       choices=("exact", "projection"), help="override sampler.variance_sampler")
 
     p_fit = sub.add_parser("fit", help="fit the model and persist the posterior")
     add_common(p_fit)

@@ -7,25 +7,18 @@ effect variance, conditional multivariate log-gamma (cMLG) for the
 variance-side blocks, and inverse-Gaussian for the Laplace-mode
 augmentation scales.
 
-Two samplers are available for the cMLG conditionals:
-
-``exact`` (default)
-    A systematic scan of the block's one-dimensional coordinate
-    conditionals, each drawn exactly by adaptive rejection sampling (they
-    are log-concave).  The chain's stationary distribution is the exact
-    posterior.
-
-``projection``
-    The least-squares projection recipe ``(H'H)^{-1} H' q``.  Cheap and
-    historically used with this conditional family, but for the
-    data-augmented maps arising here it demonstrably inflates the
-    conditional variance (about 2.5x for an intercept-only variance block),
-    so it fails calibration checks.  Kept for comparison and study.
+Each cMLG conditional is drawn by a systematic scan of the block's
+one-dimensional coordinate conditionals, each drawn exactly by adaptive
+rejection sampling (they are log-concave), so the chain's stationary
+distribution is the exact posterior.  The least-squares projection recipe
+once offered beside it inflates the conditional variance of these
+data-augmented maps (about 2.5x for an intercept-only variance block); it
+survives only as ``mlg.cmlg_sample``, the subject of the total-variation
+study in ``oracle.cmlg_scalar_tv``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +27,7 @@ from scipy import linalg as sla
 
 from .design import Dataset, Hyperparams, ModelSpec
 from .logconcave import sample_logconcave
-from .mlg import CLAMP_LIMIT, CmlgParams, cmlg_sample, cmlg_sample_truncated
+from .mlg import CLAMP_LIMIT, CmlgParams, RunCounters
 from ._parallel import parallel_map
 
 __all__ = [
@@ -66,23 +59,7 @@ JITTER_REL = 1e-10
 
 
 class GibbsError(RuntimeError):
-    """A conditional update failed; carries the iteration index when known."""
-
-
-@dataclass
-class RunCounters:
-    """Observable numerical events accumulated during one chain."""
-
-    jitter_repairs: int = 0
-    exp_clamps: int = 0
-    truncation_rejections: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "jitter_repairs": self.jitter_repairs,
-            "exp_clamps": self.exp_clamps,
-            "truncation_rejections": self.truncation_rejections,
-        }
+    """A conditional update failed; names the iteration and the block."""
 
 
 @dataclass
@@ -97,17 +74,6 @@ class ChainState:
     sigma_eta2: float
     s: np.ndarray | None = None
 
-    def copy(self) -> "ChainState":
-        return ChainState(
-            beta1=self.beta1.copy(),
-            eta1=self.eta1.copy(),
-            beta2=self.beta2.copy(),
-            eta2=self.eta2.copy(),
-            sigma2_eta1=float(self.sigma2_eta1),
-            sigma_eta2=float(self.sigma_eta2),
-            s=None if self.s is None else self.s.copy(),
-        )
-
 
 @dataclass
 class GibbsConfig:
@@ -118,7 +84,6 @@ class GibbsConfig:
     thin: int = 1
     seed: int = 0
     chains: int = 1
-    variance_sampler: str = "exact"
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -129,8 +94,6 @@ class GibbsConfig:
             raise ValueError("thin must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
-        if self.variance_sampler not in ("exact", "projection"):
-            raise ValueError("variance_sampler must be 'exact' or 'projection'")
 
     @property
     def n_stored(self) -> int:
@@ -149,7 +112,6 @@ class PosteriorChain:
     sigma_eta2: np.ndarray
     s: np.ndarray | None
     seed: int
-    spec_digest: dict = field(default_factory=dict)
     counters: RunCounters = field(default_factory=RunCounters)
 
     def __len__(self) -> int:
@@ -165,10 +127,6 @@ class PosteriorChain:
             sigma_eta2=float(self.sigma_eta2[i]),
             s=None if self.s is None else self.s[i].copy(),
         )
-
-    @property
-    def states(self) -> list:
-        return [self.state(i) for i in range(len(self))]
 
     def param_names(self) -> list:
         names = [f"beta1_{j + 1}" for j in range(self.beta1.shape[1])]
@@ -195,11 +153,15 @@ class PosteriorChain:
 
 
 def concatenate_chains(chains) -> PosteriorChain:
-    """Pool several chains of the same model into one draw collection."""
+    """Pool several chains of the same model into one draw collection.
+
+    The pooled ``counters`` are the sums of every chain's counters.
+    """
     chains = list(chains)
     if not chains:
         raise ValueError("no chains to concatenate")
     first = chains[0]
+    totals = [c.counters.as_dict() for c in chains]
     return PosteriorChain(
         beta1=np.vstack([c.beta1 for c in chains]),
         eta1=np.vstack([c.eta1 for c in chains]),
@@ -209,8 +171,7 @@ def concatenate_chains(chains) -> PosteriorChain:
         sigma_eta2=np.concatenate([c.sigma_eta2 for c in chains]),
         s=None if first.s is None else np.vstack([c.s for c in chains]),
         seed=first.seed,
-        spec_digest=dict(first.spec_digest, pooled_chains=len(chains)),
-        counters=first.counters,
+        counters=RunCounters(**{k: sum(t[k] for t in totals) for k in totals[0]}),
     )
 
 
@@ -328,18 +289,35 @@ def _clipped_exp(x: np.ndarray, counters: RunCounters | None) -> np.ndarray:
     return np.exp(np.minimum(x, CLAMP_LIMIT))
 
 
-def _variance_block_conditional(
+def _variance_conditional(
     M: np.ndarray,
+    other: np.ndarray,
     prior_sd: float,
-    alpha: float,
-    data_shape: float,
-    data_rate: np.ndarray,
-    counters: RunCounters | None = None,
+    state: ChainState,
+    spec: ModelSpec,
+    data: Dataset,
+    counters: RunCounters | None,
 ) -> CmlgParams:
+    """cMLG parameters of the variance-side block with design ``M``.
+
+    ``other`` is the linear predictor of the other variance-side block and
+    ``prior_sd`` the block's prior scale.  Gaussian mode uses data shape 1/2
+    and rates from the floored squared residuals; Laplace mode uses data
+    shape 1 and rates from the augmentation scales.
+    """
+    e_other = _clipped_exp(other, counters)
+    alpha = spec.hyper.alpha
+    if spec.likelihood == "laplace":
+        rate = state.s * e_other
+        shape = 1.0
+    else:
+        resid2 = np.maximum((data.y - mean_vector(state, spec)) ** 2, RESID2_FLOOR)
+        rate = 0.5 * resid2 * e_other
+        shape = 0.5
     n, k = M.shape
     H = np.vstack([M, (alpha ** -0.5) / prior_sd * np.eye(k)])
-    a = np.concatenate([np.full(n, data_shape), np.full(k, alpha)])
-    kap = np.concatenate([np.maximum(data_rate, RATE_FLOOR), np.full(k, alpha)])
+    a = np.concatenate([np.full(n, shape), np.full(k, alpha)])
+    kap = np.concatenate([np.maximum(rate, RATE_FLOOR), np.full(k, alpha)])
     return CmlgParams(H=H, alpha=a, kappa=kap)
 
 
@@ -349,24 +327,12 @@ def beta2_conditional(
     data: Dataset,
     counters: RunCounters | None = None,
 ) -> CmlgParams:
-    """Assembled cMLG parameters of the variance fixed-effect conditional.
-
-    Gaussian mode uses data shape 1/2 and rates from the floored squared
-    residuals; Laplace mode uses data shape 1 and rates from the
-    augmentation scales.
-    """
-    other = spec.Psi2 @ state.eta2 if spec.r2 else np.zeros(spec.n)
-    e_other = _clipped_exp(other, counters)
-    hyper = spec.hyper
-    if spec.likelihood == "laplace":
-        rate = state.s * e_other
-        shape = 1.0
-    else:
-        resid2 = np.maximum((data.y - mean_vector(state, spec)) ** 2, RESID2_FLOOR)
-        rate = 0.5 * resid2 * e_other
-        shape = 0.5
-    return _variance_block_conditional(
-        spec.X2, math.sqrt(hyper.sigma2_beta2), hyper.alpha, shape, rate, counters
+    """Assembled cMLG parameters of the variance fixed-effect conditional."""
+    return _variance_conditional(
+        spec.X2,
+        spec.Psi2 @ state.eta2 if spec.r2 else np.zeros(spec.n),
+        math.sqrt(spec.hyper.sigma2_beta2),
+        state, spec, data, counters,
     )
 
 
@@ -376,19 +342,12 @@ def eta2_conditional(
     data: Dataset,
     counters: RunCounters | None = None,
 ) -> CmlgParams:
-    """Mirror of ``beta2_conditional`` for the variance random effects."""
-    other = spec.X2 @ state.beta2 if spec.p2 else np.zeros(spec.n)
-    e_other = _clipped_exp(other, counters)
-    hyper = spec.hyper
-    if spec.likelihood == "laplace":
-        rate = state.s * e_other
-        shape = 1.0
-    else:
-        resid2 = np.maximum((data.y - mean_vector(state, spec)) ** 2, RESID2_FLOOR)
-        rate = 0.5 * resid2 * e_other
-        shape = 0.5
-    return _variance_block_conditional(
-        spec.Psi2, state.sigma_eta2, hyper.alpha, shape, rate, counters
+    """Assembled cMLG parameters of the variance random-effect conditional."""
+    return _variance_conditional(
+        spec.Psi2,
+        spec.X2 @ state.beta2 if spec.p2 else np.zeros(spec.n),
+        state.sigma_eta2,
+        state, spec, data, counters,
     )
 
 
@@ -444,24 +403,11 @@ def _scan_cmlg_exact(
     return x
 
 
-def _draw_variance_block(
-    rng: np.random.Generator,
-    params: CmlgParams,
-    current: np.ndarray,
-    method: str,
-    counters: RunCounters | None,
-) -> np.ndarray:
-    if method == "projection":
-        return cmlg_sample(rng, params)
-    return _scan_cmlg_exact(rng, params, current)
-
-
 def fc_beta2(
     state: ChainState,
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    method: str = "exact",
     hook=None,
     counters: RunCounters | None = None,
 ) -> np.ndarray:
@@ -471,7 +417,7 @@ def fc_beta2(
     params = beta2_conditional(state, spec, data, counters)
     if hook is not None:
         params = hook("beta2", params)
-    return _draw_variance_block(rng, params, state.beta2, method, counters)
+    return _scan_cmlg_exact(rng, params, state.beta2)
 
 
 def fc_eta2(
@@ -479,7 +425,6 @@ def fc_eta2(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    method: str = "exact",
     hook=None,
     counters: RunCounters | None = None,
 ) -> np.ndarray:
@@ -489,7 +434,7 @@ def fc_eta2(
     params = eta2_conditional(state, spec, data, counters)
     if hook is not None:
         params = hook("eta2", params)
-    return _draw_variance_block(rng, params, state.eta2, method, counters)
+    return _scan_cmlg_exact(rng, params, state.eta2)
 
 
 def fc_sigma2_eta1(state: ChainState, spec: ModelSpec, rng: np.random.Generator) -> float:
@@ -504,16 +449,12 @@ def fc_inv_sigma_eta2(
     state: ChainState,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    method: str = "exact",
     hook=None,
-    counters: RunCounters | None = None,
 ) -> float:
     """Truncated scalar cMLG draw of the reciprocal variance-block scale."""
     params = inv_sigma_eta2_conditional(state, hyper)
     if hook is not None:
         params = hook("inv_sigma_eta2", params)
-    if method == "projection":
-        return float(cmlg_sample_truncated(rng, params, lower=hyper.trunc_lower))
     current = np.array([max(1.0 / state.sigma_eta2, hyper.trunc_lower)])
     out = _scan_cmlg_exact(rng, params, current, lower=hyper.trunc_lower)
     return float(out[0])
@@ -594,33 +535,10 @@ def initial_state(spec: ModelSpec, data: Dataset) -> ChainState:
     return state
 
 
-def spec_provenance(spec: ModelSpec, config: GibbsConfig, seed: int) -> dict:
-    rec = {
-        "n": spec.n,
-        "p1": spec.p1,
-        "r1": spec.r1,
-        "p2": spec.p2,
-        "r2": spec.r2,
-        "likelihood": spec.likelihood,
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "thin": config.thin,
-        "chains": config.chains,
-        "variance_sampler": config.variance_sampler,
-        "seed": seed,
-    }
-    for name in ("sigma2_beta1", "sigma2_beta2", "alpha", "a", "b", "omega", "rho", "trunc_lower"):
-        rec[name] = getattr(spec.hyper, name)
-    blob = ";".join(f"{k}={rec[k]!r}" for k in sorted(rec))
-    rec["digest"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return rec
-
-
 def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed: int, hook=None) -> PosteriorChain:
     rng = np.random.default_rng(seed)
     state = initial_state(spec, data)
     counters = RunCounters()
-    method = config.variance_sampler
     n_store = config.n_stored
 
     beta1 = np.empty((n_store, spec.p1))
@@ -634,25 +552,30 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
     laplace = spec.likelihood == "laplace"
     k = 0
     for it in range(config.iterations):
+        # the fc_* names are looked up per call so they can be rebound from outside
         try:
             if laplace:
+                block = "s"
                 state.s = fc_s(state, spec, data, rng)
+            block = "beta1"
             state.beta1 = fc_beta1(state, spec, data, rng, counters)
             if spec.r1:
+                block = "eta1"
                 state.eta1 = fc_eta1(state, spec, data, rng, counters)
             if spec.p2:
-                state.beta2 = fc_beta2(state, spec, data, rng, method, hook, counters)
+                block = "beta2"
+                state.beta2 = fc_beta2(state, spec, data, rng, hook, counters)
             if spec.r2:
-                state.eta2 = fc_eta2(state, spec, data, rng, method, hook, counters)
+                block = "eta2"
+                state.eta2 = fc_eta2(state, spec, data, rng, hook, counters)
             if spec.r1:
+                block = "sigma2_eta1"
                 state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
             if spec.r2:
-                inv = fc_inv_sigma_eta2(state, spec.hyper, rng, method, hook, counters)
-                state.sigma_eta2 = 1.0 / inv
-        except GibbsError:
-            raise
+                block = "inv_sigma_eta2"
+                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, hook)
         except Exception as exc:
-            raise GibbsError(f"iteration {it}: {exc}") from exc
+            raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
             beta1[k] = state.beta1
             eta1[k] = state.eta1
@@ -672,7 +595,6 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
         sigma_eta2=sigma_eta2,
         s=s,
         seed=seed,
-        spec_digest=spec_provenance(spec, config, seed),
         counters=counters,
     )
 

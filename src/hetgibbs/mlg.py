@@ -7,20 +7,22 @@ and random-variate generation for that family, for its conditional variant
 (cMLG, parameterized by a tall linear map), and for the univariate log-gamma
 building block.
 
-Conditional sampling uses the least-squares projection recipe
-``(H'H)^{-1} H' q`` with ``q ~ MLG(0, I, alpha, kappa)``.  For a square
-invertible ``H`` (and for axis-aligned selections) this is an exact draw
-from the cMLG density; for a general tall ``H`` it is the recipe's
-projection law, which differs from the density-normalized conditional.  The
-validation suite records that discrepancy instead of hiding it; the Gibbs
-engine therefore defaults to an exact coordinate sampler for its conditional
-updates (see ``hetgibbs.gibbs``).
+``cmlg_sample`` is the least-squares projection recipe ``(H'H)^{-1} H' q``
+with ``q ~ MLG(0, I, alpha, kappa)``.  For a square invertible ``H`` (and
+for axis-aligned selections) this is an exact draw from the cMLG density;
+for a general tall ``H`` it is the recipe's projection law, which differs
+from the density-normalized conditional.  It is kept as the subject of the
+total-variation study (``oracle.cmlg_scalar_tv``); the Gibbs engine draws
+its cMLG conditionals exactly by coordinate scan (see ``hetgibbs.gibbs``).
+
+``RunCounters`` lives here, beside ``CLAMP_LIMIT``, so that the density
+kernels and the Gibbs engine count numerical repairs into one type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -28,16 +30,14 @@ from scipy.special import gammaln
 
 __all__ = [
     "CLAMP_LIMIT",
-    "ClampCounter",
+    "RunCounters",
     "ConditioningError",
-    "TruncationError",
     "MlgParams",
     "CmlgParams",
     "log_gamma_sample",
     "mlg_log_density",
     "mlg_sample",
     "cmlg_sample",
-    "cmlg_sample_truncated",
     "mlg_gaussian_limit_params",
 ]
 
@@ -53,32 +53,15 @@ class ConditioningError(ValueError):
     """Scale matrix is singular or too ill-conditioned to invert."""
 
 
-class TruncationError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget.
-
-    Attributes
-    ----------
-    acceptance_rate : float
-        Accepted fraction observed before giving up (0 when nothing was
-        accepted).
-    attempts : int
-        Number of proposals drawn.
-    """
-
-    def __init__(self, message: str, acceptance_rate: float, attempts: int):
-        super().__init__(message)
-        self.acceptance_rate = acceptance_rate
-        self.attempts = attempts
-
-
 @dataclass
-class ClampCounter:
-    """Counts exponent-clamp events during density evaluation."""
+class RunCounters:
+    """Observable numerical events accumulated during one chain."""
 
-    events: int = 0
+    jitter_repairs: int = 0
+    exp_clamps: int = 0
 
-    def add(self, k: int) -> None:
-        self.events += int(k)
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -218,11 +201,11 @@ def log_gamma_sample(rng: np.random.Generator, shape, rate, size=None):
     return out
 
 
-def mlg_log_density(y, p: MlgParams, counters: ClampCounter | None = None) -> float:
+def mlg_log_density(y, p: MlgParams, counters: RunCounters | None = None) -> float:
     """Log density of the MLG law at ``y``.
 
     Exponent arguments are clamped at +700 before exponentiation; clamp
-    events are recorded in ``counters`` when one is supplied.
+    events are added to ``counters.exp_clamps`` when one is supplied.
     """
     y = _as_vector(y, "y")
     if y.shape[0] != p.dim:
@@ -230,7 +213,7 @@ def mlg_log_density(y, p: MlgParams, counters: ClampCounter | None = None) -> fl
     w = p.solve_v(y - p.mu)
     clamped = np.minimum(w, CLAMP_LIMIT)
     if counters is not None:
-        counters.add(int(np.count_nonzero(w > CLAMP_LIMIT)))
+        counters.exp_clamps += int(np.count_nonzero(w > CLAMP_LIMIT))
     val = (
         p.logdet_vinv
         + float(np.sum(p.alpha * np.log(p.kappa) - gammaln(p.alpha)))
@@ -262,35 +245,6 @@ def cmlg_sample(rng: np.random.Generator, c: CmlgParams) -> np.ndarray:
             f"H is rank-deficient: rank {rank} for {c.dim} columns"
         )
     return sol
-
-
-def cmlg_sample_truncated(
-    rng: np.random.Generator,
-    c: CmlgParams,
-    lower: float,
-    max_attempts: int = 10**6,
-) -> float:
-    """Scalar cMLG projection draw, rejected until it exceeds ``lower``.
-
-    ``lower = -inf`` makes the truncation vacuous.  Exceeding
-    ``max_attempts`` raises :class:`TruncationError` carrying the observed
-    acceptance-rate estimate.
-    """
-    if c.dim != 1:
-        raise ValueError("truncated sampling is defined for scalar targets only")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if math.isnan(lower):
-        raise ValueError("lower must not be NaN")
-    for attempt in range(1, max_attempts + 1):
-        draw = float(cmlg_sample(rng, c)[0])
-        if draw > lower:
-            return draw
-    raise TruncationError(
-        f"no draw exceeded {lower!r} in {max_attempts} attempts",
-        acceptance_rate=0.0,
-        attempts=max_attempts,
-    )
 
 
 def mlg_gaussian_limit_params(center, cov_factor, alpha_scalar: float) -> MlgParams:

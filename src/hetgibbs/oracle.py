@@ -334,7 +334,7 @@ def _sbc_replicate_safe(args):
 
 
 def _sbc_replicate(args):
-    shape, hyper, n, iterations, burn_in, thin_to, seed, variance_sampler, hook = args
+    shape, hyper, n, iterations, burn_in, thin_to, seed, hook = args
     rng = np.random.default_rng(seed)
     cols = _shape_columns(shape, n, rng)
     data = Dataset(y=np.zeros(n), columns=cols)
@@ -350,7 +350,6 @@ def _sbc_replicate(args):
         thin=thin,
         seed=seed + 1,
         chains=1,
-        variance_sampler=variance_sampler,
     )
     chain = run_gibbs(spec, data, config, hook=hook)[0]
     names, tvals, dvals = [], [], []
@@ -386,7 +385,6 @@ def sbc_run(
     burn_in: int | None = None,
     thin_to: int = 100,
     seed: int = 0,
-    variance_sampler: str = "exact",
     hook=None,
 ) -> SbcResult:
     """Rank-calibration run: prior draws, synthetic data, refit, rank truth.
@@ -401,7 +399,7 @@ def sbc_run(
     if burn_in is None:
         burn_in = max(iterations // 5, 1)
     jobs = [
-        (shape, hyper, n, iterations, burn_in, thin_to, seed + 104729 * (r + 1), variance_sampler, hook)
+        (shape, hyper, n, iterations, burn_in, thin_to, seed + 104729 * (r + 1), hook)
         for r in range(replicates)
     ]
     if hook is not None:

@@ -55,6 +55,10 @@ class TestConfig:
         p.write_text("[sampler]\niterationz = 10\n")
         with pytest.raises(ConfigError, match="iterationz"):
             load_config(str(p))
+        # there is one variance sampler, so no key selects it
+        p.write_text("[sampler]\nvariance_sampler = exact\n")
+        with pytest.raises(ConfigError, match="variance_sampler"):
+            load_config(str(p))
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -189,6 +193,25 @@ class TestCommands:
         )
         assert main(["fit", "--config", str(cfg)]) == 0
         assert (tmp_path / "esvm_out" / "volatility.csv").exists()
+
+    def test_esvm_nonfinite_extra_column_named(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        T = 30
+        ret = rng.normal(size=T).astype(str)
+        vix = rng.normal(size=T).astype(str)
+        ret[2], vix[2] = "", "nan"  # a dropped return hides its missing input
+        vix[5] = "inf"
+        data_csv = tmp_path / "ret.csv"
+        write_csv(data_csv, "ret,vix", [f"{r},{v}" for r, v in zip(ret, vix)])
+        cfg = tmp_path / "esvm.ini"
+        cfg.write_text(
+            f"[data]\npath = {data_csv}\nresponse = ret\n"
+            f"[esvm]\nenabled = true\nn_h = 4\nextra_columns = vix\n"
+            f"[sampler]\niterations = 20\nburn_in = 5\n"
+            f"[output]\ndir = {tmp_path / 'esvm_out'}\n"
+        )
+        assert main(["fit", "--config", str(cfg)]) == 1
+        assert "'vix' is not finite in data row 6" in capsys.readouterr().err
 
     def test_validate_laplace_suite(self, tmp_path, capsys):
         rc = cmd_validate("laplace", seed=0, out_dir=str(tmp_path / "val"))

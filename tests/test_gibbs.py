@@ -25,7 +25,7 @@ from hetgibbs.gibbs import (
     inverse_gaussian_sample,
     run_gibbs,
 )
-from hetgibbs.mlg import log_gamma_sample
+from hetgibbs.mlg import cmlg_sample, log_gamma_sample
 
 
 def make_spec(X1, X2, Psi1=None, Psi2=None, likelihood="gaussian", hyper=None):
@@ -209,8 +209,9 @@ class TestVarianceBlockLaws:
         assert np.allclose(qs, ig.ppf([0.1, 0.25, 0.5, 0.75, 0.9]), rtol=0.05)
 
     def test_projection_mode_inflates_conditional_variance(self):
-        # the projection recipe is kept for study: its conditional variance
-        # is about trigamma(1/2)/(n trigamma(n/2)) times the exact one
+        # the projection recipe (mlg.cmlg_sample) is kept for study: its
+        # conditional variance is about trigamma(1/2)/(n trigamma(n/2)) times
+        # the exact one
         rng = np.random.default_rng(6)
         n = 100
         y = rng.normal(0.0, 1.0, size=n)
@@ -221,7 +222,8 @@ class TestVarianceBlockLaws:
         rng_e = np.random.default_rng(7)
         rng_p = np.random.default_rng(8)
         exact = np.array([fc_beta2(st, spec, data, rng_e)[0] for _ in range(3000)])
-        proj = np.array([fc_beta2(st, spec, data, rng_p, method="projection")[0] for _ in range(3000)])
+        params = beta2_conditional(st, spec, data)
+        proj = np.array([cmlg_sample(rng_p, params)[0] for _ in range(3000)])
         ratio = proj.var() / exact.var()
         assert 1.8 < ratio < 3.2
 
@@ -352,6 +354,18 @@ class TestRunGibbs:
         pooled = concatenate_chains(chains)
         assert len(pooled) == 3 * len(chains[0])
 
+    def test_pooled_counters_sum_over_chains(self):
+        spec, data = self.small_problem()
+        chains = run_gibbs(spec, data, GibbsConfig(iterations=30, burn_in=10, seed=5, chains=3))
+        # distinct per-chain events, so keeping any single chain's counters fails
+        for k, c in enumerate(chains):
+            c.counters.jitter_repairs += k + 1
+            c.counters.exp_clamps += 10 * (k + 1)
+        pooled = concatenate_chains(chains).counters.as_dict()
+        per_chain = [c.counters.as_dict() for c in chains]
+        assert pooled == {name: sum(d[name] for d in per_chain) for name in pooled}
+        assert pooled["jitter_repairs"] >= 6 and pooled["exp_clamps"] >= 60
+
     def test_laplace_mode_states_positive(self):
         spec, data = self.small_problem(likelihood="laplace")
         cfg = GibbsConfig(iterations=60, burn_in=20, seed=2)
@@ -378,7 +392,7 @@ class TestRunGibbs:
         def bad_hook(name, params):
             raise RuntimeError("synthetic failure")
 
-        with pytest.raises(GibbsError, match="iteration 0"):
+        with pytest.raises(GibbsError, match="iteration 0, block beta2: synthetic failure"):
             run_gibbs(spec, data, GibbsConfig(iterations=10, burn_in=2, seed=0), hook=bad_hook)
 
     def test_dimension_mismatch_rejected(self):
@@ -392,5 +406,3 @@ class TestRunGibbs:
             GibbsConfig(iterations=10, burn_in=10)
         with pytest.raises(ValueError):
             GibbsConfig(thin=0)
-        with pytest.raises(ValueError):
-            GibbsConfig(variance_sampler="fancy")
