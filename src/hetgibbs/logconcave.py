@@ -13,6 +13,7 @@ bound and is the caller's bug.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -59,14 +60,14 @@ class _Hull:
     def insert(self, x: float, h: float, g: float) -> None:
         if not (math.isfinite(x) and math.isfinite(h) and math.isfinite(g)):
             return
-        i = 0
-        while i < len(self.x) and self.x[i] < x:
-            i += 1
-        if i < len(self.x) and abs(self.x[i] - x) < 1e-14 * (1.0 + abs(x)):
+        xs = self.x
+        i = bisect.bisect_left(xs, x)
+        tol = 1e-14 * (1.0 + abs(x))
+        if i < len(xs) and abs(xs[i] - x) < tol:
             return
-        if i > 0 and abs(x - self.x[i - 1]) < 1e-14 * (1.0 + abs(x)):
+        if i > 0 and abs(x - xs[i - 1]) < tol:
             return
-        self.x.insert(i, x)
+        xs.insert(i, x)
         self.h.insert(i, h)
         self.g.insert(i, g)
         self._stale = True
@@ -75,37 +76,40 @@ class _Hull:
         """Recompute breakpoints and per-segment log masses."""
         xs, hs, gs = self.x, self.h, self.g
         k = len(xs)
-        # z[i] separates the region served by tangent i-1 from tangent i
-        z = [self.lower]
-        for i in range(k - 1):
-            dg = gs[i] - gs[i + 1]
-            if dg <= 1e-13 * (abs(gs[i]) + abs(gs[i + 1]) + 1.0):
-                zi = 0.5 * (xs[i] + xs[i + 1])  # numerically parallel tangents
-            else:
-                zi = (hs[i + 1] - hs[i] - xs[i + 1] * gs[i + 1] + xs[i] * gs[i]) / dg
-            zi = min(max(zi, xs[i]), xs[i + 1])
-            z.append(zi)
-        z.append(self.upper)
+        inf = math.inf
+        # z[i] separates the region served by tangent i-1 from tangent i;
+        # segment i runs from za = z[i] to zb = z[i + 1]
+        za = self.lower
+        z = [za]
         logmass = []
         for i in range(k):
-            za, zb = z[i], z[i + 1]
-            if za >= zb:
-                logmass.append(-math.inf)
-                continue
-            if za == -math.inf:
-                if gs[i] <= 0.0:
-                    raise LogConcaveError("unbounded envelope on the left tail")
-                ub = hs[i] + gs[i] * (zb - xs[i])
-                logmass.append(ub - math.log(gs[i]))
-            elif zb == math.inf:
-                if gs[i] >= 0.0:
-                    raise LogConcaveError("unbounded envelope on the right tail")
-                ua = hs[i] + gs[i] * (za - xs[i])
-                logmass.append(ua - math.log(-gs[i]))
+            xi, hi, gi = xs[i], hs[i], gs[i]
+            if i + 1 < k:
+                xn, gn = xs[i + 1], gs[i + 1]
+                dg = gi - gn
+                if dg <= 1e-13 * (abs(gi) + abs(gn) + 1.0):
+                    zb = 0.5 * (xi + xn)  # numerically parallel tangents
+                else:
+                    zb = (hs[i + 1] - hi - xn * gn + xi * gi) / dg
+                zb = min(max(zb, xi), xn)
             else:
-                ua = hs[i] + gs[i] * (za - xs[i])
-                ub = hs[i] + gs[i] * (zb - xs[i])
+                zb = self.upper
+            z.append(zb)
+            if za >= zb:
+                logmass.append(-inf)
+            elif za == -inf:
+                if gi <= 0.0:
+                    raise LogConcaveError("unbounded envelope on the left tail")
+                logmass.append(hi + gi * (zb - xi) - math.log(gi))
+            elif zb == inf:
+                if gi >= 0.0:
+                    raise LogConcaveError("unbounded envelope on the right tail")
+                logmass.append(hi + gi * (za - xi) - math.log(-gi))
+            else:
+                ua = hi + gi * (za - xi)
+                ub = hi + gi * (zb - xi)
                 logmass.append(_log_segment_mass(ua, ub, zb - za))
+            za = zb
         self._z = z
         self._logmass = logmass
         self._stale = False
@@ -114,16 +118,20 @@ class _Hull:
         """Draw x from the normalized envelope; return (x, envelope log pdf)."""
         if self._stale:
             self._refresh()
-        lm = np.asarray(self._logmass)
-        top = lm.max()
+        w = np.array(self._logmass)
+        top = np.maximum.reduce(w)
         if not math.isfinite(top):
             raise LogConcaveError("empty envelope")
-        w = np.exp(lm - top)
-        w /= w.sum()
-        i = int(rng.choice(len(w), p=w))
+        w -= top
+        np.exp(w, out=w)
+        w /= np.add.reduce(w)
+        # the index Generator.choice(len(w), p=w) picks, from the same uniform
+        cdf = np.add.accumulate(w)
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(rng.random(), "right"))
         za, zb = self._z[i], self._z[i + 1]
         xt, h, g = self.x[i], self.h[i], self.g[i]
-        r = min(max(rng.uniform(), 1e-300), 1.0 - 1e-16)
+        r = min(max(rng.random(), 1e-300), 1.0 - 1e-16)
         if za == -math.inf:
             x = zb + math.log(r) / g                      # g > 0, x <= zb
         elif zb == math.inf:
@@ -260,7 +268,7 @@ def sample_logconcave(
         h, g = fg(x)
         h, g = float(h), float(g)
         if math.isfinite(h) and math.isfinite(g):
-            if math.log(max(rng.uniform(), 1e-300)) <= h - env:
+            if math.log(max(rng.random(), 1e-300)) <= h - env:
                 return float(x)
             hull.insert(x, h, g)
             continue

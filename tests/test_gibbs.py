@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -26,6 +27,30 @@ from hetgibbs.gibbs import (
     run_gibbs,
 )
 from hetgibbs.mlg import cmlg_sample, log_gamma_sample
+
+
+def loaded_openblas():
+    """(get, set) thread-count functions of each OpenBLAS in this process.
+
+    Found from the process's memory map, apart from the package's own lookup.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return []
+    names = [(f"{p}_get_num_threads{w}", f"{p}_set_num_threads{w}")
+             for w in ("64_", "") for p in ("scipy_openblas", "openblas")]
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        pairs = [(getattr(lib, g, None), getattr(lib, s, None)) for g, s in names]
+        get, set_ = next((pair for pair in pairs if None not in pair), (None, None))
+        if get is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found.append((get, set_))
+    return found
 
 
 def make_spec(X1, X2, Psi1=None, Psi2=None, likelihood="gaussian", hyper=None):
@@ -394,6 +419,37 @@ class TestRunGibbs:
 
         with pytest.raises(GibbsError, match="iteration 0, block beta2: synthetic failure"):
             run_gibbs(spec, data, GibbsConfig(iterations=10, burn_in=2, seed=0), hook=bad_hook)
+
+    def test_chain_pins_blas_to_one_thread_and_restores(self):
+        libs = loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS loaded")
+        spec, data = self.small_problem()
+        cfg = GibbsConfig(iterations=4, burn_in=1, seed=0)
+        counts = lambda: [get() for get, _ in libs]  # noqa: E731
+        saved = counts()
+        seen = []
+
+        def spy(name, params):
+            seen.append(counts())
+            return params
+
+        def failing(name, params):
+            raise GibbsError("synthetic failure")
+
+        try:
+            for _, set_ in libs:
+                set_(2)  # more than one thread even on a one-core machine
+            before = counts()
+            run_gibbs(spec, data, cfg, hook=spy)
+            assert seen and all(c == [1] * len(libs) for c in seen)
+            assert counts() == before
+            with pytest.raises(GibbsError, match="synthetic failure"):
+                run_gibbs(spec, data, cfg, hook=failing)
+            assert counts() == before
+        finally:
+            for (_, set_), n in zip(libs, saved):
+                set_(n)
 
     def test_dimension_mismatch_rejected(self):
         spec, data = self.small_problem()
