@@ -162,7 +162,9 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
 
     Columns whose non-empty cells all parse as numbers become float columns
     (empty cells become NaN); everything else becomes categorical (empty
-    cells become missing).  Ragged rows and header-only files are errors.
+    cells become missing).  A row of empty cells is a row of missing values;
+    only blank lines are skipped.  Ragged rows and header-only files are
+    errors.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -177,7 +179,7 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
             raise ValueError(f"{path} is empty")
         rows = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
+            if not row:
                 continue
             if row[0].lstrip().startswith("#"):
                 continue
@@ -406,6 +408,7 @@ def cmd_fit(cfg: dict) -> int:
             resolved,
         )
     counters = {f"chain_{k}.{name}": v for k, c in enumerate(chains) for name, v in c.counters.as_dict().items()}
+    counters.update({f"total.{name}": v for name, v in pooled.counters.as_dict().items()})
     scales = {}
     for label, entries in (("mean", spec.scales1), ("variance", spec.scales2)):
         for sc in entries:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hetgibbs import cli
 from hetgibbs.cli import ConfigError, cmd_validate, load_config, load_csv, main
+from hetgibbs.design import Dataset
 from hetgibbs.gibbs import GibbsConfig, run_gibbs
 from hetgibbs.oracle import SyntheticShape, generate_synthetic, synthetic_model_spec
 from hetgibbs.persist import read_chain_csv, write_chain_csv
@@ -47,6 +49,15 @@ class TestLoadCsv:
         data, _ = load_csv(str(p))
         assert np.isnan(data.columns["x"][0])
         assert data.columns["c"][1] is None
+
+    def test_all_empty_row_kept_as_missing(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, "y,x", ["1,2", ",", "", "3,4"])  # the blank line is skipped
+        data, report = load_csv(str(p))
+        assert report["rows"] == 3
+        assert np.isnan(data.columns["y"][1]) and np.isnan(data.columns["x"][1])
+        kept, dropped = Dataset(y=data.columns["y"], columns=data.columns).drop_missing(["x"])
+        assert dropped == 1 and kept.n == 2
 
 
 class TestConfig:
@@ -121,14 +132,31 @@ def simulate_then_fit(tmp_path, extra_cfg="", seed=3):
 
 
 class TestCommands:
-    def test_fit_end_to_end(self, tmp_path, capsys):
+    def test_fit_end_to_end(self, tmp_path, capsys, monkeypatch):
+        real_run_gibbs = cli.run_gibbs
+
+        def run_with_events(*args, **kwargs):
+            chains = real_run_gibbs(*args, **kwargs)
+            for k, c in enumerate(chains):  # distinct per-chain events
+                c.counters.jitter_repairs += k + 1
+                c.counters.exp_clamps += 10 * (k + 1)
+            return chains
+
+        monkeypatch.setattr(cli, "run_gibbs", run_with_events)
         cfg = simulate_then_fit(tmp_path)
-        assert main(["fit", "--config", str(cfg)]) == 0
+        assert main(["fit", "--config", str(cfg), "--chains", "2"]) == 0
         out = tmp_path / "out"
-        for name in ("chain_0.csv", "summary.csv", "metadata.txt"):
+        for name in ("chain_0.csv", "chain_1.csv", "summary.csv", "metadata.txt"):
             assert (out / name).exists()
         meta = (out / "metadata.txt").read_text()
         assert "dic" in meta and "waic" in meta and "msev_insample" in meta
+        section = meta.split("[counters]\n")[1].split("\n\n")[0]
+        counters = dict(line.split(" = ") for line in section.splitlines())
+        for name in ("jitter_repairs", "exp_clamps"):
+            per_chain = [int(counters[f"chain_{k}.{name}"]) for k in range(2)]
+            assert int(counters[f"total.{name}"]) == sum(per_chain)
+        assert int(counters["total.jitter_repairs"]) >= 3
+        assert int(counters["total.exp_clamps"]) >= 30
 
     def test_fit_deterministic_chain_files(self, tmp_path):
         cfg = simulate_then_fit(tmp_path)
@@ -194,12 +222,13 @@ class TestCommands:
         assert main(["fit", "--config", str(cfg)]) == 0
         assert (tmp_path / "esvm_out" / "volatility.csv").exists()
 
-    def test_esvm_nonfinite_extra_column_named(self, tmp_path, capsys):
+    def fit_esvm_with_row3(self, tmp_path, ret3, vix3):
+        """Fit an ESVM series whose data row 3 is (ret3, vix3) and row 6 has vix = inf."""
         rng = np.random.default_rng(2)
         T = 30
         ret = rng.normal(size=T).astype(str)
         vix = rng.normal(size=T).astype(str)
-        ret[2], vix[2] = "", "nan"  # a dropped return hides its missing input
+        ret[2], vix[2] = ret3, vix3
         vix[5] = "inf"
         data_csv = tmp_path / "ret.csv"
         write_csv(data_csv, "ret,vix", [f"{r},{v}" for r, v in zip(ret, vix)])
@@ -210,7 +239,16 @@ class TestCommands:
             f"[sampler]\niterations = 20\nburn_in = 5\n"
             f"[output]\ndir = {tmp_path / 'esvm_out'}\n"
         )
-        assert main(["fit", "--config", str(cfg)]) == 1
+        return main(["fit", "--config", str(cfg)])
+
+    def test_esvm_nonfinite_extra_column_named(self, tmp_path, capsys):
+        # a dropped return hides its missing input
+        assert self.fit_esvm_with_row3(tmp_path, "", "nan") == 1
+        assert "'vix' is not finite in data row 6" in capsys.readouterr().err
+
+    def test_esvm_all_empty_row_keeps_row_numbers(self, tmp_path, capsys):
+        # the row is "," and still counts as data row 3
+        assert self.fit_esvm_with_row3(tmp_path, "", "") == 1
         assert "'vix' is not finite in data row 6" in capsys.readouterr().err
 
     def test_validate_laplace_suite(self, tmp_path, capsys):
