@@ -361,6 +361,9 @@ def inv_sigma_eta2_conditional(state: ChainState, hyper: Hyperparams) -> CmlgPar
     return CmlgParams(H=H, alpha=a, kappa=kap)
 
 
+# exp overflows to inf far in a coordinate's tails, where fg reports a -inf
+# log density; the flag is set once per scan, not once per evaluation
+@np.errstate(over="ignore")
 def _scan_cmlg_exact(
     rng: np.random.Generator,
     params: CmlgParams,
@@ -379,28 +382,26 @@ def _scan_cmlg_exact(
     zeta = H @ x
     lin = H.T @ a
     exp, add_reduce = np.exp, np.add.reduce
-    # exp overflows to inf far in the tails; fg reports that as -inf density
-    with np.errstate(over="ignore"):
-        for j in range(x.shape[0]):
-            hj = H[:, j]
-            lam = logk + zeta - hj * x[j]
-            cj = float(lin[j])
+    for j in range(x.shape[0]):
+        hj = H[:, j]
+        lam = logk + zeta - hj * x[j]
+        cj = float(lin[j])
 
-            def fg(t, lam=lam, hj=hj, cj=cj):
-                e = exp(lam + hj * t)
-                ssum = float(add_reduce(e))
-                if not math.isfinite(ssum):
-                    return -math.inf, -math.inf
-                return cj * t - ssum, cj - e @ hj
+        def fg(t, lam=lam, hj=hj, cj=cj):
+            e = exp(lam + hj * t)
+            ssum = float(add_reduce(e))
+            if not math.isfinite(ssum):
+                return -math.inf, -math.inf
+            return cj * t - ssum, cj - e @ hj
 
-            e0 = exp(lam + hj * x[j])
-            curv = float(e0 @ (hj * hj))
-            scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
-            t_new = sample_logconcave(
-                rng, fg, lower=lower, x0=float(x[j]), scale=min(scale, 1e3)
-            )
-            zeta = zeta + hj * (t_new - x[j])
-            x[j] = t_new
+        e0 = exp(lam + hj * x[j])
+        curv = float(e0 @ (hj * hj))
+        scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
+        t_new = sample_logconcave(
+            rng, fg, lower=lower, x0=float(x[j]), scale=min(scale, 1e3)
+        )
+        zeta = zeta + hj * (t_new - x[j])
+        x[j] = t_new
     return x
 
 
@@ -552,42 +553,41 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
 
     laplace = spec.likelihood == "laplace"
     k = 0
-    with single_blas_thread():
-        for it in range(config.iterations):
-            # the fc_* names are looked up per call so they can be rebound from outside
-            try:
-                if laplace:
-                    block = "s"
-                    state.s = fc_s(state, spec, data, rng)
-                block = "beta1"
-                state.beta1 = fc_beta1(state, spec, data, rng, counters)
-                if spec.r1:
-                    block = "eta1"
-                    state.eta1 = fc_eta1(state, spec, data, rng, counters)
-                if spec.p2:
-                    block = "beta2"
-                    state.beta2 = fc_beta2(state, spec, data, rng, hook, counters)
-                if spec.r2:
-                    block = "eta2"
-                    state.eta2 = fc_eta2(state, spec, data, rng, hook, counters)
-                if spec.r1:
-                    block = "sigma2_eta1"
-                    state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
-                if spec.r2:
-                    block = "inv_sigma_eta2"
-                    state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, hook)
-            except Exception as exc:
-                raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
-                beta1[k] = state.beta1
-                eta1[k] = state.eta1
-                beta2[k] = state.beta2
-                eta2[k] = state.eta2
-                sigma2_eta1[k] = state.sigma2_eta1
-                sigma_eta2[k] = state.sigma_eta2
-                if s is not None:
-                    s[k] = state.s
-                k += 1
+    for it in range(config.iterations):
+        # the fc_* names are looked up per call so they can be rebound from outside
+        try:
+            if laplace:
+                block = "s"
+                state.s = fc_s(state, spec, data, rng)
+            block = "beta1"
+            state.beta1 = fc_beta1(state, spec, data, rng, counters)
+            if spec.r1:
+                block = "eta1"
+                state.eta1 = fc_eta1(state, spec, data, rng, counters)
+            if spec.p2:
+                block = "beta2"
+                state.beta2 = fc_beta2(state, spec, data, rng, hook, counters)
+            if spec.r2:
+                block = "eta2"
+                state.eta2 = fc_eta2(state, spec, data, rng, hook, counters)
+            if spec.r1:
+                block = "sigma2_eta1"
+                state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
+            if spec.r2:
+                block = "inv_sigma_eta2"
+                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, hook)
+        except Exception as exc:
+            raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
+            beta1[k] = state.beta1
+            eta1[k] = state.eta1
+            beta2[k] = state.beta2
+            eta2[k] = state.eta2
+            sigma2_eta1[k] = state.sigma2_eta1
+            sigma_eta2[k] = state.sigma_eta2
+            if s is not None:
+                s[k] = state.s
+            k += 1
     return PosteriorChain(
         beta1=beta1,
         eta1=eta1,
@@ -603,7 +603,8 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
 
 def _chain_worker(args):
     spec, data, config, seed, hook = args
-    return _run_single_chain(spec, data, config, seed, hook)
+    with single_blas_thread():
+        return _run_single_chain(spec, data, config, seed, hook)
 
 
 def run_gibbs(spec: ModelSpec, data: Dataset, config: GibbsConfig, hook=None) -> list:
