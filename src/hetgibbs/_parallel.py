@@ -5,9 +5,9 @@ number of worker processes (default 1, i.e. serial).  Every job carries its
 own seed, so results are identical whether or not a pool is used.
 
 Inside a chain, BLAS runs on one thread (``single_blas_thread``): the
-matrices of one conditional update are too small to gain from threads, and
-on the reference model a 150x150 Cholesky factorisation at 2 OpenBLAS
-threads on 2 cores ran about 30x slower than at one.
+matrices of one conditional update are too small to gain from threads.  On
+the reference model (n=1000, r1=r2=150) the eta1 update inside a chain took
+19 ms per iteration at 2 OpenBLAS threads on 2 cores and 2.4 ms at one.
 """
 
 from __future__ import annotations
