@@ -10,7 +10,6 @@ an ordinary ``ModelSpec`` that ``run_gibbs`` consumes unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,61 +24,20 @@ __all__ = [
     "esvm_inputs",
     "esvm_to_spec",
     "dominant_eigen_magnitude",
-    "PowerIterationError",
 ]
 
 LAG_EPS = 1e-12
 DEFAULT_TRUNC = 7.0
 
 
-class PowerIterationError(RuntimeError):
-    """Dominant-eigenvalue estimation did not converge."""
+def dominant_eigen_magnitude(W: np.ndarray) -> float:
+    """Largest eigenvalue magnitude (spectral radius) of a square matrix W.
 
-
-def dominant_eigen_magnitude(
-    W: np.ndarray,
-    tol: float = 1e-12,
-    max_steps: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Largest eigenvalue magnitude of W by power iteration.
-
-    A real dominant eigenvalue is detected through the Rayleigh-quotient
-    residual; a dominant complex pair through the residual of the two-step
-    recurrence fit W^2 v = a W v + b v, whose root magnitudes are then used.
-    One retry with a reseeded start vector precedes failure.
+    Computed from the full spectrum (LAPACK ``geev``), which stays accurate
+    when the two largest moduli almost coincide, where a power iteration
+    fails to converge.
     """
-    W = np.asarray(W, dtype=float)
-    n = W.shape[0]
-    if n == 1:
-        return abs(float(W[0, 0]))
-    for attempt in range(2):
-        rng = np.random.default_rng(seed + attempt)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(max_steps):
-            Wv = W @ v
-            nv = np.linalg.norm(Wv)
-            if nv == 0.0:
-                return 0.0  # start vector in the kernel or W nilpotent
-            lam = float(v @ Wv)
-            if np.linalg.norm(Wv - lam * v) <= tol * max(nv, 1e-300):
-                return abs(lam)
-            W2v = W @ Wv
-            basis = np.column_stack([Wv, v])
-            coef, *_ = np.linalg.lstsq(basis, W2v, rcond=None)
-            resid = np.linalg.norm(W2v - basis @ coef)
-            if resid <= tol * max(np.linalg.norm(W2v), 1e-300):
-                a, b = coef
-                disc = a * a + 4.0 * b
-                if disc >= 0.0:
-                    roots = (abs(a + math.sqrt(disc)) / 2.0, abs(a - math.sqrt(disc)) / 2.0)
-                    return max(roots)
-                return math.sqrt(-b)  # complex pair: |root|^2 = -b
-            v = Wv / nv
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_steps} steps (two starts)"
-    )
+    return float(np.abs(np.linalg.eigvals(np.asarray(W, dtype=float))).max())
 
 
 @dataclass
@@ -116,9 +74,9 @@ def build_reservoir(
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, weight_sd, size=(n_h, n_h))
     U = rng.normal(0.0, weight_sd, size=(n_h, p))
-    lam = dominant_eigen_magnitude(W, seed=seed)
+    lam = dominant_eigen_magnitude(W)
     if lam == 0.0:
-        raise PowerIterationError("W has zero spectral radius; cannot scale")
+        raise ValueError("W has zero spectral radius; cannot scale")
     W = W * (delta / lam)
     return Reservoir(
         W=W, U=U, n_h=n_h, delta=delta, seed=seed,
