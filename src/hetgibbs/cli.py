@@ -26,7 +26,6 @@ from .metrics import (
     kfold_cv,
     loglik_pointwise,
     msev,
-    posterior_variance_draws,
     predict_posterior_means,
     summarize,
     waic,
@@ -274,18 +273,25 @@ def _attach_coords(dataset: Dataset, coord_names: list) -> Dataset:
 
 
 def _build_from_config(cfg: dict):
-    """Shared fit/cv assembly: returns (spec, data, gibbs config, report)."""
+    """Shared fit/cv assembly: returns (spec, data, gibbs config, report, rows).
+
+    ``rows`` holds, for an ESVM fit, the 1-based data row of the input file
+    of each modeled return; it is None for a regression fit.
+    """
     data_path = _get(cfg, "data", "path", None)
     response = _get(cfg, "data", "response", None)
     if data_path is None or response is None:
         raise ConfigError("data.path and data.response are required")
+    esvm = _get(cfg, "esvm", "enabled", False)
+    t_name = _get(cfg, "data", "time_index", None)
+    if t_name is not None and not esvm:
+        raise ConfigError("[data] time_index applies only to ESVM fits ([esvm] enabled = true)")
     dataset, report = load_csv(data_path)
     dataset = _extract_response(dataset, response)
     config = _gibbs_config(cfg)
     hyper = _hyper_from_config(cfg)
 
-    if _get(cfg, "esvm", "enabled", False):
-        t_name = _get(cfg, "data", "time_index", None)
+    if esvm:
         file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
         if t_name is not None:
             if t_name not in dataset.columns:
@@ -343,7 +349,8 @@ def _build_from_config(cfg: dict):
             hyper=es_hyper,
         )
         spec, gdata = esvm_to_spec(es, returns)
-        return spec, gdata, config, report
+        # the first kept return enters only as the lag of the second
+        return spec, gdata, config, report, file_row[keep][1:]
 
     mean_terms = _get(cfg, "data", "mean_terms", [])
     var_terms = _get(cfg, "data", "var_terms", [])
@@ -364,7 +371,7 @@ def _build_from_config(cfg: dict):
         likelihood=_get(cfg, "model", "likelihood", "gaussian"),
         hyper=hyper,
     )
-    return spec, dataset, config, report
+    return spec, dataset, config, report, None
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -376,7 +383,7 @@ def _out_dir(cfg: dict) -> Path:
 def cmd_fit(cfg: dict) -> int:
     """Fit the model, write chains, summary, metrics and metadata."""
     out = _out_dir(cfg)
-    spec, data, config, report = _build_from_config(cfg)
+    spec, data, config, report, rows = _build_from_config(cfg)
     resolved = _resolved_flat(cfg)
     resolved["sampler.resolved_seed"] = config.seed
     t0 = time.perf_counter()
@@ -395,12 +402,12 @@ def cmd_fit(cfg: dict) -> int:
         "draws": len(pooled),
     }
     if _get(cfg, "esvm", "enabled", False):
-        sig_draws = posterior_variance_draws(pooled, spec)
+        sig_draws = spec.variance(pooled.beta2, pooled.eta2)
         write_table_csv(
             out / "volatility.csv",
             ["t", "sigma2_mean", "sigma2_q2.5", "sigma2_q97.5"],
             [
-                np.arange(2, spec.n + 2),
+                rows,
                 sig_draws.mean(axis=0),
                 np.quantile(sig_draws, 0.025, axis=0),
                 np.quantile(sig_draws, 0.975, axis=0),
@@ -430,7 +437,7 @@ def cmd_fit(cfg: dict) -> int:
 def cmd_cv(cfg: dict) -> int:
     """K-fold cross validation; writes held-out predictions and pooled MSEV."""
     out = _out_dir(cfg)
-    spec, data, config, report = _build_from_config(cfg)
+    spec, data, config, report, _ = _build_from_config(cfg)
     folds = _get(cfg, "cv", "folds", 5)
     cv_seed = _get(cfg, "cv", "cv_seed", _get(cfg, "sampler", "seed", 0))
     scheme = CvScheme.make(data.n, folds=folds, seed=cv_seed)

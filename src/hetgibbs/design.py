@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .mlg import CLAMP_LIMIT
+
 __all__ = [
     "Hyperparams",
     "Dataset",
@@ -69,7 +71,6 @@ class Dataset:
     y: np.ndarray
     columns: dict = field(default_factory=dict)
     coords: np.ndarray | None = None
-    time_index: np.ndarray | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -94,7 +95,6 @@ class Dataset:
             y=self.y[rows],
             columns={k: v[rows] for k, v in self.columns.items()},
             coords=None if self.coords is None else self.coords[rows],
-            time_index=None if self.time_index is None else np.asarray(self.time_index)[rows],
         )
 
     def drop_missing(self, referenced: list[str]) -> tuple["Dataset", int]:
@@ -202,6 +202,27 @@ class ModelSpec:
     @property
     def r2(self) -> int:
         return self.Psi2.shape[1]
+
+    def mean(self, beta1: np.ndarray, eta1: np.ndarray) -> np.ndarray:
+        """Mean linear predictor ``X1 beta1 + Psi1 eta1``.
+
+        Takes one draw (vectors) or a stack of draws (one draw per row).
+        """
+        mu = beta1 @ self.X1.T
+        if self.r1:
+            mu = mu + eta1 @ self.Psi1.T
+        return mu
+
+    def variance(self, beta2: np.ndarray, eta2: np.ndarray) -> np.ndarray:
+        """Model variances ``exp(-(X2 beta2 + Psi2 eta2))``, positive by construction.
+
+        The linear predictor is clipped to +-CLAMP_LIMIT before the
+        exponential.  Takes one draw or a stack of draws, like ``mean``.
+        """
+        lp = beta2 @ self.X2.T
+        if self.r2:
+            lp = lp + eta2 @ self.Psi2.T
+        return np.exp(-np.clip(lp, -CLAMP_LIMIT, CLAMP_LIMIT))
 
     def subset_rows(self, rows: np.ndarray) -> "ModelSpec":
         return replace(

@@ -10,7 +10,7 @@ an ordinary ``ModelSpec`` that ``run_gibbs`` consumes unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Reservoir:
     delta: float
     seed: int
     weight_sd: float = 0.1
-    spectral_radius: float = field(default=0.0)
 
     @property
     def p(self) -> int:
@@ -79,8 +78,7 @@ def build_reservoir(
         raise ValueError("W has zero spectral radius; cannot scale")
     W = W * (delta / lam)
     return Reservoir(
-        W=W, U=U, n_h=n_h, delta=delta, seed=seed,
-        weight_sd=weight_sd, spectral_radius=delta,
+        W=W, U=U, n_h=n_h, delta=delta, seed=seed, weight_sd=weight_sd,
     )
 
 

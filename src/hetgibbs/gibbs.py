@@ -31,6 +31,7 @@ from .mlg import CLAMP_LIMIT, CmlgParams, RunCounters
 from ._parallel import parallel_map, single_blas_thread
 
 __all__ = [
+    "BLOCKS",
     "ChainState",
     "GibbsConfig",
     "PosteriorChain",
@@ -56,6 +57,9 @@ __all__ = [
 RESID2_FLOOR = 1e-30   # squared residuals entering rate vectors
 RATE_FLOOR = 1e-300    # any rate entry must stay inside the gamma domain
 JITTER_REL = 1e-10
+
+# every sampled block, in draw-matrix column order ("s" only in Laplace mode)
+BLOCKS = ("beta1", "eta1", "beta2", "eta2", "sigma2_eta1", "sigma_eta2", "s")
 
 
 class GibbsError(RuntimeError):
@@ -117,39 +121,21 @@ class PosteriorChain:
     def __len__(self) -> int:
         return self.beta1.shape[0]
 
-    def state(self, i: int) -> ChainState:
-        return ChainState(
-            beta1=self.beta1[i].copy(),
-            eta1=self.eta1[i].copy(),
-            beta2=self.beta2[i].copy(),
-            eta2=self.eta2[i].copy(),
-            sigma2_eta1=float(self.sigma2_eta1[i]),
-            sigma_eta2=float(self.sigma_eta2[i]),
-            s=None if self.s is None else self.s[i].copy(),
-        )
+    def _stored(self) -> list:
+        """(name, draws) of every stored block, in ``BLOCKS`` order."""
+        return [(name, getattr(self, name)) for name in BLOCKS if getattr(self, name) is not None]
 
     def param_names(self) -> list:
-        names = [f"beta1_{j + 1}" for j in range(self.beta1.shape[1])]
-        names += [f"eta1_{j + 1}" for j in range(self.eta1.shape[1])]
-        names += [f"beta2_{j + 1}" for j in range(self.beta2.shape[1])]
-        names += [f"eta2_{j + 1}" for j in range(self.eta2.shape[1])]
-        names += ["sigma2_eta1", "sigma_eta2"]
-        if self.s is not None:
-            names += [f"s_{j + 1}" for j in range(self.s.shape[1])]
+        names = []
+        for name, draws in self._stored():
+            if draws.ndim == 1:
+                names.append(name)
+            else:
+                names += [f"{name}_{j + 1}" for j in range(draws.shape[1])]
         return names
 
     def to_matrix(self) -> np.ndarray:
-        blocks = [
-            self.beta1,
-            self.eta1,
-            self.beta2,
-            self.eta2,
-            self.sigma2_eta1[:, None],
-            self.sigma_eta2[:, None],
-        ]
-        if self.s is not None:
-            blocks.append(self.s)
-        return np.hstack(blocks)
+        return np.hstack([draws[:, None] if draws.ndim == 1 else draws for _, draws in self._stored()])
 
 
 def concatenate_chains(chains) -> PosteriorChain:
@@ -162,42 +148,12 @@ def concatenate_chains(chains) -> PosteriorChain:
         raise ValueError("no chains to concatenate")
     first = chains[0]
     totals = [c.counters.as_dict() for c in chains]
+    pooled = {name: np.concatenate([getattr(c, name) for c in chains]) for name, _ in first._stored()}
     return PosteriorChain(
-        beta1=np.vstack([c.beta1 for c in chains]),
-        eta1=np.vstack([c.eta1 for c in chains]),
-        beta2=np.vstack([c.beta2 for c in chains]),
-        eta2=np.vstack([c.eta2 for c in chains]),
-        sigma2_eta1=np.concatenate([c.sigma2_eta1 for c in chains]),
-        sigma_eta2=np.concatenate([c.sigma_eta2 for c in chains]),
-        s=None if first.s is None else np.vstack([c.s for c in chains]),
+        **{name: pooled.get(name) for name in BLOCKS},
         seed=first.seed,
         counters=RunCounters(**{k: sum(t[k] for t in totals) for k in totals[0]}),
     )
-
-
-# ---------------------------------------------------------------------------
-# derived per-observation quantities
-
-
-def mean_vector(state: ChainState, spec: ModelSpec) -> np.ndarray:
-    mu = spec.X1 @ state.beta1
-    if spec.r1:
-        mu = mu + spec.Psi1 @ state.eta1
-    return mu
-
-
-def variance_linpred(state: ChainState, spec: ModelSpec) -> np.ndarray:
-    lp = np.zeros(spec.n)
-    if spec.p2:
-        lp = lp + spec.X2 @ state.beta2
-    if spec.r2:
-        lp = lp + spec.Psi2 @ state.eta2
-    return lp
-
-
-def variance_vector(state: ChainState, spec: ModelSpec) -> np.ndarray:
-    """Model variances exp(-linear predictor); positive by construction."""
-    return np.exp(-np.clip(variance_linpred(state, spec), -CLAMP_LIMIT, CLAMP_LIMIT))
 
 
 def _precision_weights(state: ChainState, spec: ModelSpec) -> np.ndarray:
@@ -205,7 +161,7 @@ def _precision_weights(state: ChainState, spec: ModelSpec) -> np.ndarray:
         if state.s is None:
             raise GibbsError("Laplace mode requires augmentation scales s in the state")
         return 1.0 / state.s
-    return 1.0 / variance_vector(state, spec)
+    return 1.0 / spec.variance(state.beta2, state.eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +205,25 @@ def _draw_gaussian_block(
     return mean + sla.solve_triangular(cf[0], z, lower=True, trans="T")
 
 
+def _mean_block(
+    M: np.ndarray,
+    other: np.ndarray,
+    prior_prec: float,
+    state: ChainState,
+    spec: ModelSpec,
+    data: Dataset,
+    rng: np.random.Generator,
+    counters: RunCounters | None,
+) -> np.ndarray:
+    """Normal draw of the mean-side block with design ``M``.
+
+    ``other`` is the linear predictor of the other mean-side block and
+    ``prior_prec`` the block's prior precision.
+    """
+    Q, b = gaussian_conditional(M, _precision_weights(state, spec), data.y - other, prior_prec)
+    return _draw_gaussian_block(rng, Q, b, counters)
+
+
 def fc_beta1(
     state: ChainState,
     spec: ModelSpec,
@@ -257,10 +232,12 @@ def fc_beta1(
     counters: RunCounters | None = None,
 ) -> np.ndarray:
     """Draw the mean-side fixed effects from their Normal conditional."""
-    w = _precision_weights(state, spec)
-    resp = data.y - (spec.Psi1 @ state.eta1 if spec.r1 else 0.0)
-    Q, b = gaussian_conditional(spec.X1, w, resp, 1.0 / spec.hyper.sigma2_beta1)
-    return _draw_gaussian_block(rng, Q, b, counters)
+    return _mean_block(
+        spec.X1,
+        state.eta1 @ spec.Psi1.T,
+        1.0 / spec.hyper.sigma2_beta1,
+        state, spec, data, rng, counters,
+    )
 
 
 def fc_eta1(
@@ -273,10 +250,12 @@ def fc_eta1(
     """Draw the mean-side random effects; no-op for a zero-width block."""
     if spec.r1 == 0:
         return np.empty(0)
-    w = _precision_weights(state, spec)
-    resp = data.y - spec.X1 @ state.beta1
-    Q, b = gaussian_conditional(spec.Psi1, w, resp, 1.0 / state.sigma2_eta1)
-    return _draw_gaussian_block(rng, Q, b, counters)
+    return _mean_block(
+        spec.Psi1,
+        state.beta1 @ spec.X1.T,
+        1.0 / state.sigma2_eta1,
+        state, spec, data, rng, counters,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +290,7 @@ def _variance_conditional(
         rate = state.s * e_other
         shape = 1.0
     else:
-        resid2 = np.maximum((data.y - mean_vector(state, spec)) ** 2, RESID2_FLOOR)
+        resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
         rate = 0.5 * resid2 * e_other
         shape = 0.5
     n, k = M.shape
@@ -330,7 +309,7 @@ def beta2_conditional(
     """Assembled cMLG parameters of the variance fixed-effect conditional."""
     return _variance_conditional(
         spec.X2,
-        spec.Psi2 @ state.eta2 if spec.r2 else np.zeros(spec.n),
+        state.eta2 @ spec.Psi2.T,
         math.sqrt(spec.hyper.sigma2_beta2),
         state, spec, data, counters,
     )
@@ -345,7 +324,7 @@ def eta2_conditional(
     """Assembled cMLG parameters of the variance random-effect conditional."""
     return _variance_conditional(
         spec.Psi2,
-        spec.X2 @ state.beta2 if spec.p2 else np.zeros(spec.n),
+        state.beta2 @ spec.X2.T,
         state.sigma_eta2,
         state, spec, data, counters,
     )
@@ -497,8 +476,8 @@ def fc_s(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw Laplace augmentation scales: 1/s_i is inverse-Gaussian."""
-    sigma2 = variance_vector(state, spec)
-    resid2 = np.maximum((data.y - mean_vector(state, spec)) ** 2, RESID2_FLOOR)
+    sigma2 = spec.variance(state.beta2, state.eta2)
+    resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
     mu_s = np.sqrt(2.0 / (resid2 * sigma2))
     lam_s = 2.0 / sigma2
     inv_s = inverse_gaussian_sample(rng, mu_s, lam_s)
@@ -533,7 +512,7 @@ def initial_state(spec: ModelSpec, data: Dataset) -> ChainState:
         sigma_eta2=1.0 / inv0,
     )
     if spec.likelihood == "laplace":
-        state.s = np.abs(data.y - mean_vector(state, spec)) + 1e-6
+        state.s = np.abs(data.y - spec.mean(beta1, eta1)) + 1e-6
     return state
 
 
@@ -541,15 +520,11 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
     rng = np.random.default_rng(seed)
     state = initial_state(spec, data)
     counters = RunCounters()
-    n_store = config.n_stored
-
-    beta1 = np.empty((n_store, spec.p1))
-    eta1 = np.empty((n_store, spec.r1))
-    beta2 = np.empty((n_store, spec.p2))
-    eta2 = np.empty((n_store, spec.r2))
-    sigma2_eta1 = np.empty(n_store)
-    sigma_eta2 = np.empty(n_store)
-    s = np.empty((n_store, spec.n)) if spec.likelihood == "laplace" else None
+    draws = {
+        name: np.empty((config.n_stored,) + np.shape(getattr(state, name)))
+        for name in BLOCKS
+        if getattr(state, name) is not None
+    }
 
     laplace = spec.likelihood == "laplace"
     k = 0
@@ -579,26 +554,10 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
         except Exception as exc:
             raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
-            beta1[k] = state.beta1
-            eta1[k] = state.eta1
-            beta2[k] = state.beta2
-            eta2[k] = state.eta2
-            sigma2_eta1[k] = state.sigma2_eta1
-            sigma_eta2[k] = state.sigma_eta2
-            if s is not None:
-                s[k] = state.s
+            for name, stored in draws.items():
+                stored[k] = getattr(state, name)
             k += 1
-    return PosteriorChain(
-        beta1=beta1,
-        eta1=eta1,
-        beta2=beta2,
-        eta2=eta2,
-        sigma2_eta1=sigma2_eta1,
-        sigma_eta2=sigma_eta2,
-        s=s,
-        seed=seed,
-        counters=counters,
-    )
+    return PosteriorChain(**{name: draws.get(name) for name in BLOCKS}, seed=seed, counters=counters)
 
 
 def _chain_worker(args):

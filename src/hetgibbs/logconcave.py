@@ -49,9 +49,8 @@ def _log_segment_mass(ua: float, ub: float, width: float) -> float:
 class _Hull:
     """Piecewise-exponential upper envelope built from tangent lines."""
 
-    def __init__(self, lower: float, upper: float):
+    def __init__(self, lower: float):
         self.lower = lower
-        self.upper = upper
         self.x: list[float] = []   # tangent abscissae, sorted
         self.h: list[float] = []   # log density at x
         self.g: list[float] = []   # gradient at x
@@ -93,7 +92,7 @@ class _Hull:
                     zb = (hs[i + 1] - hi - xn * gn + xi * gi) / dg
                 zb = min(max(zb, xi), xn)
             else:
-                zb = self.upper
+                zb = inf
             z.append(zb)
             if za >= zb:
                 logmass.append(-inf)
@@ -150,10 +149,10 @@ class _Hull:
         return x, h + g * (x - xt)
 
 
-def _initial_points(fg, lower: float, upper: float, x0: float, scale: float):
+def _initial_points(fg, lower: float, x0: float, scale: float):
     """Seed tangent points.
 
-    When a tail is unbounded, a tangent sloping toward it is required for the
+    A tangent sloping toward each unbounded tail is required for the
     envelope to integrate; walk outward geometrically until one is found.
     Probes where the density underflows to -inf are pulled back toward x0.
     """
@@ -170,9 +169,7 @@ def _initial_points(fg, lower: float, upper: float, x0: float, scale: float):
         raise LogConcaveError("could not locate a finite region of the density")
 
     if x0 <= lower:
-        x0 = lower + scale if upper == math.inf else lower + 0.5 * (upper - lower)
-    elif x0 >= upper:
-        x0 = upper - scale if lower == -math.inf else lower + 0.5 * (upper - lower)
+        x0 = lower + scale
 
     pts = []
     xc, hc, gc = probe_finite(x0)
@@ -199,28 +196,24 @@ def _initial_points(fg, lower: float, upper: float, x0: float, scale: float):
         x, h, g = probe_finite(lower)
         pts.append((x, h, g))
 
-    if upper == math.inf:
-        x, g = xc, gc
-        step = scale
-        for n in range(_MAX_BRACKET_STEPS + 1):
-            if g < 0.0:
-                break
-            if n == _MAX_BRACKET_STEPS:
-                raise LogConcaveError("no negative-slope tangent found on the right")
-            x, h, g = probe_finite(x + step)
-            step *= 2.0
-        if x != xc:
-            pts.append((x, h, g))
-        # an outboard anchor steepens the tail bound when g is nearly flat
-        # (concavity makes any farther slope at least as negative)
-        span = max(abs(x - xc), scale)
-        try:
-            pts.append(probe_finite(x + 4.0 * span))
-        except LogConcaveError:
-            pass
-    else:
-        x, h, g = probe_finite(upper)
+    x, g = xc, gc
+    step = scale
+    for n in range(_MAX_BRACKET_STEPS + 1):
+        if g < 0.0:
+            break
+        if n == _MAX_BRACKET_STEPS:
+            raise LogConcaveError("no negative-slope tangent found on the right")
+        x, h, g = probe_finite(x + step)
+        step *= 2.0
+    if x != xc:
         pts.append((x, h, g))
+    # an outboard anchor steepens the tail bound when g is nearly flat
+    # (concavity makes any farther slope at least as negative)
+    span = max(abs(x - xc), scale)
+    try:
+        pts.append(probe_finite(x + 4.0 * span))
+    except LogConcaveError:
+        pass
     return pts
 
 
@@ -228,19 +221,18 @@ def sample_logconcave(
     rng: np.random.Generator,
     fg,
     lower: float = -math.inf,
-    upper: float = math.inf,
     x0: float = 0.0,
     scale: float = 1.0,
 ) -> float:
-    """Draw one exact sample from a log-concave density on (lower, upper).
+    """Draw one exact sample from a log-concave density on (lower, inf).
 
     Parameters
     ----------
     rng : numpy Generator
     fg : callable
         ``fg(x) -> (log density + const, derivative)``.
-    lower, upper : float
-        Support bounds; either may be infinite.
+    lower : float
+        Lower support bound; may be -inf.  The support is unbounded above.
     x0 : float
         Starting probe, ideally near the mode (e.g. the previous value of a
         Markov chain coordinate).
@@ -252,13 +244,13 @@ def sample_logconcave(
     float
         An exact draw from the normalized restriction of the density.
     """
-    if not (lower < upper):
-        raise ValueError("lower must be < upper")
+    if not (lower < math.inf):
+        raise ValueError("lower must be below +inf")
     if not (scale > 0.0) or not math.isfinite(scale):
         scale = 1.0
 
-    hull = _Hull(lower, upper)
-    for x, h, g in _initial_points(fg, lower, upper, x0, scale):
+    hull = _Hull(lower)
+    for x, h, g in _initial_points(fg, lower, x0, scale):
         hull.insert(x, h, g)
     if not hull.x:
         raise LogConcaveError("no usable tangent points")

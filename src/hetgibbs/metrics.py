@@ -18,7 +18,6 @@ from scipy.special import logsumexp
 
 from .design import Dataset, ModelSpec
 from .gibbs import GibbsConfig, PosteriorChain, concatenate_chains, run_gibbs
-from .mlg import CLAMP_LIMIT
 from ._parallel import parallel_map
 
 __all__ = [
@@ -58,22 +57,6 @@ class PointwiseLogLik:
         return self.values.shape[0]
 
 
-def _mu_draws(chain: PosteriorChain, spec: ModelSpec) -> np.ndarray:
-    mu = chain.beta1 @ spec.X1.T
-    if spec.r1:
-        mu = mu + chain.eta1 @ spec.Psi1.T
-    return mu
-
-
-def _sigma2_draws(chain: PosteriorChain, spec: ModelSpec) -> np.ndarray:
-    lp = np.zeros((len(chain), spec.n))
-    if spec.p2:
-        lp = lp + chain.beta2 @ spec.X2.T
-    if spec.r2:
-        lp = lp + chain.eta2 @ spec.Psi2.T
-    return np.exp(-np.clip(lp, -CLAMP_LIMIT, CLAMP_LIMIT))
-
-
 def _loglik_values(y: np.ndarray, mu: np.ndarray, sigma2: np.ndarray, mode: str) -> np.ndarray:
     if mode == "laplace":
         b = np.sqrt(sigma2 / 2.0)
@@ -84,12 +67,9 @@ def _loglik_values(y: np.ndarray, mu: np.ndarray, sigma2: np.ndarray, mode: str)
 def predict_posterior_means(chain: PosteriorChain, spec: ModelSpec):
     """Posterior-mean predictions: coefficient means for the mean function,
     the mean over draws of exp(-linear predictor) for the variance."""
-    return _mu_draws(chain, spec).mean(axis=0), _sigma2_draws(chain, spec).mean(axis=0)
-
-
-def posterior_variance_draws(chain: PosteriorChain, spec: ModelSpec) -> np.ndarray:
-    """Per-draw model variances, one row per stored draw."""
-    return _sigma2_draws(chain, spec)
+    mu = spec.mean(chain.beta1, chain.eta1)
+    sigma2 = spec.variance(chain.beta2, chain.eta2)
+    return mu.mean(axis=0), sigma2.mean(axis=0)
 
 
 def loglik_pointwise(chain: PosteriorChain, spec: ModelSpec, data: Dataset) -> PointwiseLogLik:
@@ -98,8 +78,8 @@ def loglik_pointwise(chain: PosteriorChain, spec: ModelSpec, data: Dataset) -> P
         raise ValueError("chain is empty")
     if data.n != spec.n:
         raise ValueError("dataset and design disagree on the number of rows")
-    mu = _mu_draws(chain, spec)
-    sigma2 = _sigma2_draws(chain, spec)
+    mu = spec.mean(chain.beta1, chain.eta1)
+    sigma2 = spec.variance(chain.beta2, chain.eta2)
     return PointwiseLogLik(values=_loglik_values(data.y, mu, sigma2, spec.likelihood), mode=spec.likelihood)
 
 
@@ -122,20 +102,14 @@ def _plugin_loglik(chain: PosteriorChain, spec: ModelSpec, data: Dataset) -> flo
     """Total log-likelihood at the posterior-mean coefficients.
 
     Variances are recomputed from the mean coefficients (not averaged
-    directly), matching the conventional plug-in.
+    directly), matching the conventional plug-in.  The posterior means enter
+    as one-row stacks of draws, the form ``loglik_pointwise`` passes.
     """
-    bar = PosteriorChain(
-        beta1=chain.beta1.mean(axis=0, keepdims=True),
-        eta1=chain.eta1.mean(axis=0, keepdims=True),
-        beta2=chain.beta2.mean(axis=0, keepdims=True),
-        eta2=chain.eta2.mean(axis=0, keepdims=True),
-        sigma2_eta1=chain.sigma2_eta1.mean(keepdims=True),
-        sigma_eta2=chain.sigma_eta2.mean(keepdims=True),
-        s=None,
-        seed=chain.seed,
-    )
-    mu = _mu_draws(bar, spec)
-    sigma2 = _sigma2_draws(bar, spec)
+    def bar(draws):
+        return draws.mean(axis=0, keepdims=True)
+
+    mu = spec.mean(bar(chain.beta1), bar(chain.eta1))
+    sigma2 = spec.variance(bar(chain.beta2), bar(chain.eta2))
     return float(np.sum(_loglik_values(data.y, mu, sigma2, spec.likelihood)))
 
 

@@ -173,10 +173,6 @@ class CmlgParams:
             raise ValueError("H must be finite")
 
     @property
-    def nrows(self) -> int:
-        return self.H.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.H.shape[1]
 

@@ -76,14 +76,11 @@ class GridOracle:
         if not (raw > 0.0) or not np.isfinite(raw):
             raise ValueError("density does not integrate to a positive finite value")
         self.normalizer = float(raw * np.exp(top))
-        self._pdf = dens / raw
+        pdf = dens / raw
         cdf = np.concatenate([[0.0], np.cumsum(
-            0.5 * (self._pdf[1:] + self._pdf[:-1]) * np.diff(self.grid)
+            0.5 * (pdf[1:] + pdf[:-1]) * np.diff(self.grid)
         )])
         self._cdf = cdf / cdf[-1]
-
-    def pdf(self) -> np.ndarray:
-        return self._pdf
 
     def cdf(self, x) -> np.ndarray:
         return np.interp(x, self.grid, self._cdf, left=0.0, right=1.0)
@@ -197,15 +194,8 @@ def synthetic_model_spec(
 
 def simulate_response(spec: ModelSpec, truth: SyntheticTruth, rng: np.random.Generator) -> np.ndarray:
     """Draw a response vector from the generative model at given coefficients."""
-    mu = spec.X1 @ truth.beta1
-    if spec.r1:
-        mu = mu + spec.Psi1 @ truth.eta1
-    lp = np.zeros(spec.n)
-    if spec.p2:
-        lp = lp + spec.X2 @ truth.beta2
-    if spec.r2:
-        lp = lp + spec.Psi2 @ truth.eta2
-    sigma2 = np.exp(-np.clip(lp, -700, 700))
+    mu = spec.mean(truth.beta1, truth.eta1)
+    sigma2 = spec.variance(truth.beta2, truth.eta2)
     if truth.likelihood == "laplace":
         return mu + rng.laplace(0.0, np.sqrt(sigma2 / 2.0))
     return mu + rng.normal(0.0, np.sqrt(sigma2))
@@ -352,28 +342,13 @@ def _sbc_replicate(args):
         chains=1,
     )
     chain = run_gibbs(spec, data, config, hook=hook)[0]
-    names, tvals, dvals = [], [], []
-    for j in range(shape.p1):
-        names.append(f"beta1_{j + 1}")
-        tvals.append(truth.beta1[j])
-        dvals.append(chain.beta1[:, j])
-    for j in range(shape.p2):
-        names.append(f"beta2_{j + 1}")
-        tvals.append(truth.beta2[j])
-        dvals.append(chain.beta2[:, j])
-    for j in range(shape.r1):
-        names.append(f"eta1_{j + 1}")
-        tvals.append(truth.eta1[j])
-        dvals.append(chain.eta1[:, j])
-    for j in range(shape.r2):
-        names.append(f"eta2_{j + 1}")
-        tvals.append(truth.eta2[j])
-        dvals.append(chain.eta2[:, j])
-    ranks = []
-    for tv, dv in zip(tvals, dvals):
-        dv = dv[-thin_to:]
-        ranks.append(int(np.sum(dv < tv)))
-    return names, ranks, len(dvals[0][-thin_to:])
+    names, ranks = [], []
+    for block in ("beta1", "beta2", "eta1", "eta2"):
+        true, draws = getattr(truth, block), getattr(chain, block)[-thin_to:]
+        for j in range(true.shape[0]):
+            names.append(f"{block}_{j + 1}")
+            ranks.append(int(np.sum(draws[:, j] < true[j])))
+    return names, ranks, len(chain.beta1[-thin_to:])
 
 
 def sbc_run(

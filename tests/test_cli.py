@@ -251,6 +251,35 @@ class TestCommands:
         assert self.fit_esvm_with_row3(tmp_path, "", "") == 1
         assert "'vix' is not finite in data row 6" in capsys.readouterr().err
 
+    def test_time_index_outside_esvm_rejected(self, tmp_path, capsys):
+        cfg = simulate_then_fit(tmp_path)
+        cfg.write_text(cfg.read_text().replace("var_terms = grp", "var_terms = grp\ntime_index = x"))
+        assert main(["fit", "--config", str(cfg)]) == 1
+        assert "time_index" in capsys.readouterr().err
+
+    def test_volatility_rows_are_data_rows(self, tmp_path):
+        # a shuffled time index and a missing return: t names the data row of
+        # each modeled return, in time order, after the first kept return
+        rng = np.random.default_rng(5)
+        T = 24
+        day = rng.permutation(T)
+        ret = rng.normal(size=T).astype(str)
+        ret[day == 3] = ""
+        data_csv = tmp_path / "ret.csv"
+        write_csv(data_csv, "day,ret", [f"{d},{r}" for d, r in zip(day, ret)])
+        cfg = tmp_path / "esvm.ini"
+        cfg.write_text(
+            f"[data]\npath = {data_csv}\nresponse = ret\ntime_index = day\n"
+            f"[esvm]\nenabled = true\nn_h = 4\n"
+            f"[sampler]\niterations = 20\nburn_in = 5\n"
+            f"[output]\ndir = {tmp_path / 'esvm_out'}\n"
+        )
+        assert main(["fit", "--config", str(cfg)]) == 0
+        _, names, table = read_chain_csv(tmp_path / "esvm_out" / "volatility.csv")
+        rows_in_time_order = 1 + np.argsort(day)
+        expect = [r for r in rows_in_time_order if day[r - 1] != 3][1:]
+        assert names[0] == "t" and table[:, 0].tolist() == expect
+
     def test_validate_laplace_suite(self, tmp_path, capsys):
         rc = cmd_validate("laplace", seed=0, out_dir=str(tmp_path / "val"))
         assert rc == 0

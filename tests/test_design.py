@@ -119,6 +119,46 @@ class TestModelSpec:
         assert sub.n == 10 and sub.p1 == spec.p1 and sub.p2 == spec.p2
 
 
+class TestLinearPredictors:
+    # (p1, r1, p2, r2): every block, r1 = 0, and the ESVM shape with zero-width X2
+    DIMS = [(3, 4, 2, 5), (2, 0, 3, 0), (1, 0, 0, 6)]
+
+    @staticmethod
+    def spec_and_draws(dims, n=40, draws=7):
+        rng = np.random.default_rng(sum(dims))
+        p1, r1, p2, r2 = dims
+        spec = ModelSpec(X1=rng.normal(size=(n, p1)), Psi1=rng.normal(size=(n, r1)),
+                         X2=rng.normal(size=(n, p2)), Psi2=rng.normal(size=(n, r2)))
+        return spec, [rng.normal(0.0, 0.5, size=(draws, k)) for k in dims]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_one_draw_is_matrix_vector_product(self, dims):
+        spec, (b1, e1, b2, e2) = self.spec_and_draws(dims)
+        mu = spec.X1 @ b1[0]
+        if spec.r1:
+            mu = mu + spec.Psi1 @ e1[0]
+        lp = spec.X2 @ b2[0]
+        if spec.r2:
+            lp = lp + spec.Psi2 @ e2[0]
+        assert spec.mean(b1[0], e1[0]).tobytes() == mu.tobytes()
+        assert spec.variance(b2[0], e2[0]).tobytes() == np.exp(-lp).tobytes()
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_stack_matches_per_draw_rows(self, dims):
+        spec, (b1, e1, b2, e2) = self.spec_and_draws(dims)
+        mu, sigma2 = spec.mean(b1, e1), spec.variance(b2, e2)
+        assert mu.shape == sigma2.shape == (b1.shape[0], spec.n)
+        for i in range(b1.shape[0]):
+            np.testing.assert_allclose(mu[i], spec.mean(b1[i], e1[i]), rtol=1e-12)
+            np.testing.assert_allclose(sigma2[i], spec.variance(b2[i], e2[i]), rtol=1e-12)
+
+    def test_variance_exponent_clipped(self):
+        spec = ModelSpec(X1=np.ones((2, 1)), Psi1=np.empty((2, 0)),
+                         X2=np.array([[1.0], [-1.0]]), Psi2=np.empty((2, 0)))
+        sigma2 = spec.variance(np.array([1e6]), np.empty(0))
+        assert np.array_equal(sigma2, np.exp([-700.0, 700.0]))
+
+
 class TestDataset:
     def test_drop_missing_counts(self):
         y = np.array([1.0, np.nan, 3.0, 4.0])

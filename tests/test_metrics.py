@@ -13,6 +13,7 @@ from hetgibbs.metrics import (
     kfold_cv,
     loglik_pointwise,
     msev,
+    predict_posterior_means,
     summarize,
     waic,
 )
@@ -234,11 +235,9 @@ class TestCrossValidation:
         shape = SyntheticShape(p1=1, p2=1)
         data, _ = generate_synthetic(shape, seed=2, n=12)
         spec = synthetic_model_spec(data, shape)
-        from hetgibbs.metrics import _sigma2_draws
-
         chain = manual_chain(np.zeros((2, 1)), np.array([[0.0], [-4.0]]))
-        s2 = _sigma2_draws(chain, spec).mean(axis=0)
-        jensen = np.exp(-_sigma2_draws(chain, spec).mean())  # wrong path
+        _, s2 = predict_posterior_means(chain, spec)
+        jensen = math.exp(-chain.beta2.mean())  # wrong path
         expect = 0.5 * (1.0 + math.exp(4.0))
         assert np.allclose(s2, expect, rtol=1e-12)
         assert not np.allclose(s2, jensen)
