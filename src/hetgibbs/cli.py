@@ -275,8 +275,8 @@ def _attach_coords(dataset: Dataset, coord_names: list) -> Dataset:
 def _build_from_config(cfg: dict):
     """Shared fit/cv assembly: returns (spec, data, gibbs config, report, rows).
 
-    ``rows`` holds, for an ESVM fit, the 1-based data row of the input file
-    of each modeled return; it is None for a regression fit.
+    ``rows`` holds the 1-based data row of the input file of each modeled
+    observation (for an ESVM fit, of each modeled return).
     """
     data_path = _get(cfg, "data", "path", None)
     response = _get(cfg, "data", "response", None)
@@ -290,9 +290,9 @@ def _build_from_config(cfg: dict):
     dataset = _extract_response(dataset, response)
     config = _gibbs_config(cfg)
     hyper = _hyper_from_config(cfg)
+    file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
 
     if esvm:
-        file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
         if t_name is not None:
             if t_name not in dataset.columns:
                 raise KeyError(f"unknown time_index column {t_name!r}")
@@ -358,6 +358,7 @@ def _build_from_config(cfg: dict):
     if coord_names:
         dataset = _attach_coords(dataset, coord_names)
     referenced = list(dict.fromkeys(mean_terms + var_terms))
+    file_row = file_row[dataset.complete_cases(referenced)]
     dataset, dropped = dataset.drop_missing(referenced)
     report["dropped_rows"] = dropped
     basis_mean = _get(cfg, "model", "mean_basis_resolutions", None)
@@ -371,7 +372,7 @@ def _build_from_config(cfg: dict):
         likelihood=_get(cfg, "model", "likelihood", "gaussian"),
         hyper=hyper,
     )
-    return spec, dataset, config, report, None
+    return spec, dataset, config, report, file_row
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -437,7 +438,7 @@ def cmd_fit(cfg: dict) -> int:
 def cmd_cv(cfg: dict) -> int:
     """K-fold cross validation; writes held-out predictions and pooled MSEV."""
     out = _out_dir(cfg)
-    spec, data, config, report, _ = _build_from_config(cfg)
+    spec, data, config, report, rows = _build_from_config(cfg)
     folds = _get(cfg, "cv", "folds", 5)
     cv_seed = _get(cfg, "cv", "cv_seed", _get(cfg, "sampler", "seed", 0))
     scheme = CvScheme.make(data.n, folds=folds, seed=cv_seed)
@@ -449,7 +450,7 @@ def cmd_cv(cfg: dict) -> int:
         out / "cv_predictions.csv",
         ["row", "fold", "y", "mu_hat", "sigma2_hat"],
         [
-            np.arange(data.n),
+            rows,
             scheme.assignment,
             data.y,
             result.mu_hat,

@@ -97,11 +97,8 @@ class Dataset:
             coords=None if self.coords is None else self.coords[rows],
         )
 
-    def drop_missing(self, referenced: list[str]) -> tuple["Dataset", int]:
-        """Drop rows with a missing response or missing referenced value.
-
-        Returns the cleaned dataset and the number of rows removed.
-        """
+    def complete_cases(self, referenced: list[str]) -> np.ndarray:
+        """Boolean mask of the rows with a response and every referenced value."""
         keep = np.isfinite(self.y)
         for name in referenced:
             if name not in self.columns:
@@ -111,6 +108,14 @@ class Dataset:
                 keep &= np.isfinite(col)
             else:
                 keep &= np.array([v is not None and v == v and str(v) != "" for v in col])
+        return keep
+
+    def drop_missing(self, referenced: list[str]) -> tuple["Dataset", int]:
+        """Drop rows with a missing response or missing referenced value.
+
+        Returns the cleaned dataset and the number of rows removed.
+        """
+        keep = self.complete_cases(referenced)
         dropped = int(self.n - keep.sum())
         if keep.all():
             return self, 0

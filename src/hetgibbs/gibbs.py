@@ -353,17 +353,21 @@ def _scan_cmlg_exact(
 
     Each coordinate's conditional is proportional to
     exp(c_j t - sum_i u_i exp(H_ij t)), which is log-concave; draws use
-    adaptive rejection sampling warm-started at the current value.
+    adaptive rejection sampling warm-started at the current value, whose
+    log density, slope and curvature come from one pass over the rows.
     """
-    H, a = params.H, params.alpha
+    HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
+    HT2 = HT * HT
+    a = params.alpha
     x = np.array(x0, dtype=float).reshape(-1)
     logk = np.log(params.kappa)
-    zeta = H @ x
-    lin = H.T @ a
+    zeta = x @ HT
+    lin = HT @ a
     exp, add_reduce = np.exp, np.add.reduce
     for j in range(x.shape[0]):
-        hj = H[:, j]
-        lam = logk + zeta - hj * x[j]
+        hj = HT[j]
+        t0 = float(x[j])
+        lam = logk + zeta - hj * t0
         cj = float(lin[j])
 
         def fg(t, lam=lam, hj=hj, cj=cj):
@@ -371,15 +375,17 @@ def _scan_cmlg_exact(
             ssum = float(add_reduce(e))
             if not math.isfinite(ssum):
                 return -math.inf, -math.inf
-            return cj * t - ssum, cj - e @ hj
+            return cj * t - ssum, cj - float(e @ hj)
 
-        e0 = exp(lam + hj * x[j])
-        curv = float(e0 @ (hj * hj))
+        e0 = exp(lam + hj * t0)
+        s0 = float(add_reduce(e0))
+        curv = float(e0 @ HT2[j])
         scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
+        first = (cj * t0 - s0, cj - float(e0 @ hj)) if math.isfinite(s0) else None
         t_new = sample_logconcave(
-            rng, fg, lower=lower, x0=float(x[j]), scale=min(scale, 1e3)
+            rng, fg, lower=lower, x0=t0, scale=min(scale, 1e3), first=first
         )
-        zeta = zeta + hj * (t_new - x[j])
+        zeta += hj * (t_new - t0)
         x[j] = t_new
     return x
 

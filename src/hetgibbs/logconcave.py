@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = ["LogConcaveError", "sample_logconcave"]
 
 _MAX_REJECTIONS = 200
 _MAX_BRACKET_STEPS = 200
+_NEWTON_CAP = 3.0   # largest Newton step from x0, in curvature scales
+_SEED_GAP = 0.3     # a seed this close to x0 (in scales) adds little to its tangent
 
 
 class LogConcaveError(RuntimeError):
@@ -117,17 +120,15 @@ class _Hull:
         """Draw x from the normalized envelope; return (x, envelope log pdf)."""
         if self._stale:
             self._refresh()
-        w = np.array(self._logmass)
-        top = np.maximum.reduce(w)
+        logmass = self._logmass
+        top = max(logmass)
         if not math.isfinite(top):
             raise LogConcaveError("empty envelope")
-        w -= top
-        np.exp(w, out=w)
-        w /= np.add.reduce(w)
-        # the index Generator.choice(len(w), p=w) picks, from the same uniform
-        cdf = np.add.accumulate(w)
-        cdf /= cdf[-1]
-        i = int(cdf.searchsorted(rng.random(), "right"))
+        # a handful of segments: plain floats beat numpy calls here
+        cdf = list(accumulate([math.exp(v - top) for v in logmass]))
+        i = bisect.bisect_right(cdf, rng.random() * cdf[-1])
+        if i == len(cdf):  # the product rounded up to the total
+            i = bisect.bisect_left(cdf, cdf[-1])
         za, zb = self._z[i], self._z[i + 1]
         xt, h, g = self.x[i], self.h[i], self.g[i]
         r = min(max(rng.random(), 1e-300), 1.0 - 1e-16)
@@ -149,71 +150,76 @@ class _Hull:
         return x, h + g * (x - xt)
 
 
-def _initial_points(fg, lower: float, x0: float, scale: float):
-    """Seed tangent points.
-
-    A tangent sloping toward each unbounded tail is required for the
-    envelope to integrate; walk outward geometrically until one is found.
-    Probes where the density underflows to -inf are pulled back toward x0.
-    """
-
-    def probe_finite(x: float) -> tuple[float, float, float]:
-        for _ in range(120):
-            h, g = fg(x)
-            h, g = float(h), float(g)
-            if math.isfinite(h) and math.isfinite(g):
-                return x, h, g
-            x = x0 + 0.5 * (x - x0)
-            if abs(x - x0) < 1e-300:
-                break
-        raise LogConcaveError("could not locate a finite region of the density")
-
-    if x0 <= lower:
-        x0 = lower + scale
-
-    pts = []
-    xc, hc, gc = probe_finite(x0)
-    pts.append((xc, hc, gc))
-
-    if lower == -math.inf:
-        x, g = xc, gc
-        step = scale
-        for n in range(_MAX_BRACKET_STEPS + 1):
-            if g > 0.0:
-                break
-            if n == _MAX_BRACKET_STEPS:
-                raise LogConcaveError("no positive-slope tangent found on the left")
-            x, h, g = probe_finite(x - step)
-            step *= 2.0
-        if x != xc:
-            pts.append((x, h, g))
-        span = max(abs(x - xc), scale)
-        try:
-            pts.append(probe_finite(x - 4.0 * span))
-        except LogConcaveError:
-            pass
-    else:
-        x, h, g = probe_finite(lower)
-        pts.append((x, h, g))
-
-    x, g = xc, gc
-    step = scale
-    for n in range(_MAX_BRACKET_STEPS + 1):
-        if g < 0.0:
+def _probe_finite(fg, x: float, x0: float) -> tuple[float, float, float]:
+    """Tangent at x, pulled back toward x0 while the density underflows."""
+    for _ in range(120):
+        h, g = fg(x)
+        h, g = float(h), float(g)
+        if math.isfinite(h) and math.isfinite(g):
+            return x, h, g
+        x = x0 + 0.5 * (x - x0)
+        if abs(x - x0) < 1e-300:
             break
-        if n == _MAX_BRACKET_STEPS:
-            raise LogConcaveError("no negative-slope tangent found on the right")
-        x, h, g = probe_finite(x + step)
+    raise LogConcaveError("could not locate a finite region of the density")
+
+
+def _walk_out(fg, pt, direction: float, scale: float, x0: float) -> list:
+    """Double the step from ``pt`` until the slope points back toward x0.
+
+    Returns the bracketing tangent and an outboard anchor beyond it, which
+    steepens the tail bound when that slope is nearly flat (concavity makes
+    any farther slope at least as steep).
+    """
+    x, h, g = pt
+    step = scale
+    for _ in range(_MAX_BRACKET_STEPS):
+        x, h, g = _probe_finite(fg, x + direction * step, x0)
         step *= 2.0
-    if x != xc:
-        pts.append((x, h, g))
-    # an outboard anchor steepens the tail bound when g is nearly flat
-    # (concavity makes any farther slope at least as negative)
-    span = max(abs(x - xc), scale)
+        if direction * g < 0.0:
+            break
+    else:
+        side = "left" if direction < 0.0 else "right"
+        raise LogConcaveError(f"no tangent sloping back toward the mode found on the {side}")
+    pts = [(x, h, g)]
+    span = max(abs(x - pt[0]), scale)
     try:
-        pts.append(probe_finite(x + 4.0 * span))
+        pts.append(_probe_finite(fg, x + direction * 4.0 * span, x0))
     except LogConcaveError:
         pass
+    return pts
+
+
+def _initial_points(fg, lower: float, x0: float, scale: float, first) -> list:
+    """Seed tangent points from one Newton step at x0.
+
+    With ``scale`` the curvature scale at x0, the step goes to
+    m = x0 + g0 scale^2 (at most ``_NEWTON_CAP`` scales) and the seeds sit
+    at m - scale and m + scale, the left one moved to ``lower`` when it
+    falls at or below it; a seed within ``_SEED_GAP`` scales of x0 is not
+    evaluated.  The envelope integrates only with a tangent sloping up from
+    each unbounded tail; should the outermost tangent slope the wrong way,
+    the walk-out doubles the step from it until one does.
+    """
+    if x0 < lower:
+        x0, first = lower + scale, None
+    if first is not None and math.isfinite(first[0]) and math.isfinite(first[1]):
+        pts = [(x0, float(first[0]), float(first[1]))]
+    else:
+        pts = [_probe_finite(fg, x0, x0)]
+    xc, _, gc = pts[0]
+    cap = _NEWTON_CAP * scale
+    m = xc + min(max(gc * scale * scale, -cap), cap)
+    left, right = m - scale, m + scale
+    if left <= lower:
+        left, right = lower, max(right, lower + scale)
+    for x in (left, right):
+        if abs(x - xc) > _SEED_GAP * scale:
+            pts.append(_probe_finite(fg, x, xc))
+    leftmost, rightmost = min(pts), max(pts)
+    if lower == -math.inf and not leftmost[2] > 0.0:
+        pts += _walk_out(fg, leftmost, -1.0, scale, xc)
+    if not rightmost[2] < 0.0:
+        pts += _walk_out(fg, rightmost, 1.0, scale, xc)
     return pts
 
 
@@ -223,6 +229,7 @@ def sample_logconcave(
     lower: float = -math.inf,
     x0: float = 0.0,
     scale: float = 1.0,
+    first: tuple[float, float] | None = None,
 ) -> float:
     """Draw one exact sample from a log-concave density on (lower, inf).
 
@@ -234,10 +241,14 @@ def sample_logconcave(
     lower : float
         Lower support bound; may be -inf.  The support is unbounded above.
     x0 : float
-        Starting probe, ideally near the mode (e.g. the previous value of a
-        Markov chain coordinate).
+        First tangent point, ideally near the mode (e.g. the previous value
+        of a Markov chain coordinate).
     scale : float
-        Initial step used when walking out to bracket the mode.
+        Curvature scale at x0, ``1 / sqrt(-d2 logpdf)``: the Newton step and
+        the spacing of the seed tangents are measured in it.
+    first : (float, float), optional
+        ``fg(x0)`` when the caller has already computed it; it is then not
+        evaluated again.
 
     Returns
     -------
@@ -250,7 +261,7 @@ def sample_logconcave(
         scale = 1.0
 
     hull = _Hull(lower)
-    for x, h, g in _initial_points(fg, lower, x0, scale):
+    for x, h, g in _initial_points(fg, lower, x0, scale, first):
         hull.insert(x, h, g)
     if not hull.x:
         raise LogConcaveError("no usable tangent points")

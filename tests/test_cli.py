@@ -280,6 +280,29 @@ class TestCommands:
         expect = [r for r in rows_in_time_order if day[r - 1] != 3][1:]
         assert names[0] == "t" and table[:, 0].tolist() == expect
 
+    def test_cv_rows_are_data_rows(self, tmp_path):
+        # data row 3 has no x and is dropped: each prediction's row label
+        # names the input row whose y it carries
+        rng = np.random.default_rng(6)
+        n = 20
+        y = rng.normal(size=n)
+        x = rng.normal(size=n).astype(str)
+        x[2] = ""
+        data_csv = tmp_path / "d.csv"
+        write_csv(data_csv, "y,x", [f"{a:.17g},{b}" for a, b in zip(y, x)])
+        cfg = tmp_path / "cv.ini"
+        cfg.write_text(
+            f"[data]\npath = {data_csv}\nresponse = y\nmean_terms = x\n"
+            f"[sampler]\niterations = 30\nburn_in = 10\n"
+            f"[cv]\nfolds = 2\n"
+            f"[output]\ndir = {tmp_path / 'cv_out'}\n"
+        )
+        assert main(["cv", "--config", str(cfg)]) == 0
+        _, names, table = read_chain_csv(tmp_path / "cv_out" / "cv_predictions.csv")
+        assert names[:3] == ["row", "fold", "y"]
+        assert table[:, 0].tolist() == [r for r in range(1, n + 1) if r != 3]
+        assert np.array_equal(table[:, 2], y[table[:, 0].astype(int) - 1])
+
     def test_validate_laplace_suite(self, tmp_path, capsys):
         rc = cmd_validate("laplace", seed=0, out_dir=str(tmp_path / "val"))
         assert rc == 0

@@ -5,7 +5,9 @@ n=60) with two chains of 80 iterations and hashes the raw bytes of every
 chain's draw matrix.  A behaviour-preserving change to the sampler must
 reproduce these digests bit for bit; a change that alters the random
 stream must update them deliberately, together with a fresh calibration
-check.
+check.  They were last re-recorded when each exact coordinate draw began
+seeding its envelope from one Newton step (``TestSbcVarianceRandomEffects``
+in ``test_oracle.py`` and acceptance criterion 4 passed on that sampler).
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1
 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), at
@@ -27,24 +29,24 @@ CASES = {
         SyntheticShape(p1=2, p2=2, r1=3, r2=3),
         Hyperparams(),
         [
-            "e07ad4d9052a104f87e8bc389ba545524dcd694deaa95676d0390b705b77a32e",
-            "f77e081dab3bc1b6283a9b8d7c40e0dc69748cffeab19a478fff4ad0696dc6c4",
+            "f922c76d6e3ad82f877d791775d3f7d057c797f56e14b234f82c7fa0c305e90a",
+            "a15ffe1006925376d89cdf76f6ec6ecf6fc002073edd5543da0c4e718e024310",
         ],
     ),
     "laplace_re": (
         SyntheticShape(p1=2, p2=2, r1=3, r2=3, likelihood="laplace"),
         Hyperparams(),
         [
-            "17ac8ce04f2ef4ce6703a441ba51f62e2de215e9d36892998b7a6810adafea20",
-            "f1fb823b4332b0c2b87bc9f6379921fe7784928ab63fec743645c582d3c272a0",
+            "d1ae08fa27395b84be20cd42dcc055f51bfecd5fd31d2cee1d44e4198b872271",
+            "6531ea7e35f6cb74a0f37c4a8cfcf7cd69dab6aa116990b1979cca2dbc0da62c",
         ],
     ),
     "truncated_scale": (
         SyntheticShape(p1=1, p2=1, r2=4),
         Hyperparams(trunc_lower=7.0),
         [
-            "078f945be9df591ca9f5af55da1974fdbb064a1254f4c5a4d387166af6a8c606",
-            "815aefad7c20246aead7b06d5dbc50303cc8f0857f98e45ff097a6459048f8bf",
+            "ac674a55e8005aaea0213d048c31b039e4bdf12a8967cfe9e3bb396a74a1b6df",
+            "9081596dd86f3937ad9fcdbd2f0eed8d0702f6533f7c9fb8f80686660187c83f",
         ],
     ),
 }

@@ -92,6 +92,62 @@ def test_flat_tail_anchor_regression():
     assert np.all(np.isfinite(xs))
 
 
+def counted(fg):
+    """fg that counts its own calls in ``.calls``."""
+
+    def wrapped(x):
+        wrapped.calls += 1
+        return fg(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def log_gamma_fg(a, k):
+    def fg(x):
+        e = math.exp(min(x, 700.0))
+        return a * x - k * e, a - k * e
+
+    return fg
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_supplied_first_tangent_far_from_mode(side):
+    # N(2, 0.5^2) from 4 SD out: the capped Newton step stops 1 SD short of
+    # the mode, so a seed lands on the mode with zero slope and the walk-out runs
+    mu, sd = 2.0, 0.5
+    fg = counted(lambda x: (-0.5 * ((x - mu) / sd) ** 2, -(x - mu) / sd**2))
+    x0 = mu + side * 4.0 * sd
+    first = fg(x0)
+    fg.calls = 0
+    xs = draw_many(fg, 6000, seed=8, x0=x0, scale=sd, first=first)
+    assert fg.calls / xs.size > 4.0  # two seeds, a walk-out step, its anchor
+    assert stats.kstest(xs, stats.norm(mu, sd).cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("where", ["above", "at_lower"])
+def test_supplied_first_tangent_truncated_near_mode(where):
+    # log of Gamma(3, rate 2) truncated just below its mode log(1.5)
+    a, k = 3.0, 2.0
+    fg = log_gamma_fg(a, k)
+    lower = math.log(a / k) - 0.05
+    x0 = lower + 4.0 / math.sqrt(a) if where == "above" else lower
+    scale = 1.0 / math.sqrt(k * math.exp(x0))
+    xs = draw_many(fg, 6000, seed=9, lower=lower, x0=x0, scale=scale, first=fg(x0))
+    assert xs.min() > lower
+    law = stats.gamma(a, scale=1.0 / k)
+    cond = lambda t: (law.cdf(t) - law.cdf(math.exp(lower))) / law.sf(math.exp(lower))
+    assert stats.kstest(np.exp(xs), cond).pvalue > 0.01
+
+
+def test_curvature_scale_too_small_walks_out():
+    # seeds 1e-3 apart on one side of the mode: the doubling walk-out brackets it
+    fg = counted(log_gamma_fg(2.0, 1.0))
+    xs = draw_many(fg, 3000, seed=10, x0=-3.0, scale=1e-3)
+    assert fg.calls / xs.size > 10.0
+    assert stats.kstest(np.exp(xs), stats.gamma(2.0).cdf).pvalue > 0.01
+
+
 def test_invalid_bounds():
     with pytest.raises(ValueError):
         sample_logconcave(np.random.default_rng(0), lambda x: (-x * x, -2 * x), lower=math.inf)

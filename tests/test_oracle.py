@@ -16,7 +16,9 @@ from hetgibbs.oracle import (
     generate_synthetic,
     grid_normalize,
     invgauss_conditional_check,
+    kappa_doubling_hook,
     laplace_mixture_check,
+    sbc_run,
     synthetic_model_spec,
 )
 
@@ -151,6 +153,27 @@ class TestRankMachinery:
     def test_rank_range_validated(self):
         with pytest.raises(ValueError):
             chi_square_uniformity(np.array([0, 5, 101]), n_levels=101)
+
+
+class TestSbcVarianceRandomEffects:
+    # eta1 and eta2 are ranked; the prior on 1/sigma_eta2 is log-gamma
+    # centred at 3 and truncated at 3, so its exact draw runs with a finite
+    # lower bound that the envelope seeding often moves a tangent to
+    SHAPE = SyntheticShape(p1=2, p2=2, r1=2, r2=3)
+    HYPER = Hyperparams(sigma2_beta1=1.0, sigma2_beta2=1.0, alpha=1000.0,
+                        omega=1000.0, rho=1000.0 * math.exp(-3.0), trunc_lower=3.0)
+
+    def test_ranks_uniform(self):
+        # about 1 ms per replicate iteration on one core: 150 s
+        res = sbc_run(self.SHAPE, self.HYPER, replicates=300, iterations=500, n=50, seed=700)
+        assert res.failures == 0
+        assert {"eta1_2", "eta2_3"} <= res.p_values.keys()
+        assert min(res.p_values.values()) > 0.005, res.p_values
+
+    def test_eta2_kappa_doubling_control_fails(self):
+        res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=701,
+                      hook=kappa_doubling_hook("eta2"))
+        assert min(res.p_values[f"eta2_{j}"] for j in (1, 2, 3)) < 1e-3
 
 
 class TestCmlgTv:
