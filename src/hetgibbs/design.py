@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mlg import CLAMP_LIMIT
+from .mlg import CLAMP_LIMIT, RunCounters
 
 __all__ = [
     "Hyperparams",
@@ -218,15 +218,18 @@ class ModelSpec:
             mu = mu + eta1 @ self.Psi1.T
         return mu
 
-    def variance(self, beta2: np.ndarray, eta2: np.ndarray) -> np.ndarray:
+    def variance(self, beta2: np.ndarray, eta2: np.ndarray, counters: RunCounters | None = None) -> np.ndarray:
         """Model variances ``exp(-(X2 beta2 + Psi2 eta2))``, positive by construction.
 
         The linear predictor is clipped to +-CLAMP_LIMIT before the
-        exponential.  Takes one draw or a stack of draws, like ``mean``.
+        exponential; ``counters.exp_clamps`` counts the clipped entries on
+        either side.  Takes one draw or a stack of draws, like ``mean``.
         """
         lp = beta2 @ self.X2.T
         if self.r2:
             lp = lp + eta2 @ self.Psi2.T
+        if counters is not None:
+            counters.exp_clamps += int(np.count_nonzero(np.abs(lp) > CLAMP_LIMIT))
         return np.exp(-np.clip(lp, -CLAMP_LIMIT, CLAMP_LIMIT))
 
     def subset_rows(self, rows: np.ndarray) -> "ModelSpec":

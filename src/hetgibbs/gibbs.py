@@ -10,11 +10,26 @@ augmentation scales.
 Each cMLG conditional is drawn by a systematic scan of the block's
 one-dimensional coordinate conditionals, each drawn exactly by adaptive
 rejection sampling (they are log-concave), so the chain's stationary
-distribution is the exact posterior.  The least-squares projection recipe
-once offered beside it inflates the conditional variance of these
-data-augmented maps (about 2.5x for an intercept-only variance block); it
-survives only as ``mlg.cmlg_sample``, the subject of the total-variation
-study in ``oracle.cmlg_scalar_tv``.
+distribution is the exact posterior.
+
+The beta2 and eta2 blocks are scanned along the principal axes of their
+designs: with ``V`` the eigenvectors of ``M'M`` (``M`` is ``X2`` or
+``Psi2``), the scan draws the coordinates of ``u = V'b`` and returns
+``b = V u``.  Collinear columns make the conditional of ``b`` a ridge that a
+scan along the original coordinates crawls along; along the principal axes
+the coordinates are close to independent.  Along any fixed direction the
+conditional keeps the form exp(c t - sum_i k_i exp((HV)_i t)), log-concave
+as before, so each coordinate draw stays exact.  ``V`` is computed once per
+chain (``RotatedDesign``) from the design alone and never from the chain's
+state, so every scan is a Gibbs update of the exact block conditional and
+the stationary law is unchanged.  A ``hook`` receives the rotated
+conditional, with map ``[M V; c V]``, that the scan draws from.
+
+The least-squares projection recipe once offered beside the exact scan
+inflates the conditional variance of these data-augmented maps (about 2.5x
+for an intercept-only variance block); it survives only as
+``mlg.cmlg_sample``, the subject of the total-variation study in
+``oracle.cmlg_scalar_tv``.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ __all__ = [
     "ChainState",
     "GibbsConfig",
     "PosteriorChain",
+    "RotatedDesign",
     "RunCounters",
     "GibbsError",
     "fc_beta1",
@@ -156,12 +172,12 @@ def concatenate_chains(chains) -> PosteriorChain:
     )
 
 
-def _precision_weights(state: ChainState, spec: ModelSpec) -> np.ndarray:
+def _precision_weights(state: ChainState, spec: ModelSpec, counters: RunCounters | None) -> np.ndarray:
     if spec.likelihood == "laplace":
         if state.s is None:
             raise GibbsError("Laplace mode requires augmentation scales s in the state")
         return 1.0 / state.s
-    return 1.0 / spec.variance(state.beta2, state.eta2)
+    return 1.0 / spec.variance(state.beta2, state.eta2, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +236,7 @@ def _mean_block(
     ``other`` is the linear predictor of the other mean-side block and
     ``prior_prec`` the block's prior precision.
     """
-    Q, b = gaussian_conditional(M, _precision_weights(state, spec), data.y - other, prior_prec)
+    Q, b = gaussian_conditional(M, _precision_weights(state, spec, counters), data.y - other, prior_prec)
     return _draw_gaussian_block(rng, Q, b, counters)
 
 
@@ -268,8 +284,44 @@ def _clipped_exp(x: np.ndarray, counters: RunCounters | None) -> np.ndarray:
     return np.exp(np.minimum(x, CLAMP_LIMIT))
 
 
+class RotatedDesign:
+    """A variance block's design turned to fixed axes, built once per chain.
+
+    ``V`` is orthonormal: by default the eigenvectors of ``M'M``, the
+    principal axes of the design ``M``.  In the coordinates ``u = V'b`` the
+    block's cMLG map is ``H V = [M V; c V]``, where ``c`` is the scale of the
+    isotropic prior rows ``c I``.  ``HT`` holds ``(H V)'`` and ``HT2`` its
+    elementwise square, each ``k x (n + k)``; only their last ``k`` columns,
+    the prior rows, change from call to call (``set_prior``).  ``V`` depends
+    on the design alone, never on the chain's state, and is read-only.
+    """
+
+    def __init__(self, M: np.ndarray, V: np.ndarray | None = None):
+        M = np.asarray(M, dtype=float)
+        if not np.all(np.isfinite(M)):
+            raise ValueError("variance-side design contains non-finite values")
+        n, k = M.shape
+        if V is None:
+            _, V = np.linalg.eigh(M.T @ M)
+        self.n = n
+        self.V = np.array(V, dtype=float)
+        self.V.flags.writeable = False
+        self._VT = np.ascontiguousarray(self.V.T)
+        self._VT2 = self._VT * self._VT
+        self.HT = np.zeros((k, n + k))
+        self.HT[:, :n] = (M @ self.V).T
+        self.HT2 = self.HT * self.HT
+
+    def set_prior(self, c: float) -> None:
+        """Write the prior columns ``c V'`` of ``HT`` and their squares."""
+        if not math.isfinite(c):
+            raise ValueError(f"prior scale of the variance block is not finite: {c!r}")
+        np.multiply(self._VT, c, out=self.HT[:, self.n:])
+        np.multiply(self._VT2, c * c, out=self.HT2[:, self.n:])
+
+
 def _variance_conditional(
-    M: np.ndarray,
+    axes: RotatedDesign,
     other: np.ndarray,
     prior_sd: float,
     state: ChainState,
@@ -277,12 +329,13 @@ def _variance_conditional(
     data: Dataset,
     counters: RunCounters | None,
 ) -> CmlgParams:
-    """cMLG parameters of the variance-side block with design ``M``.
+    """cMLG parameters of a variance-side block in the coordinates of ``axes``.
 
     ``other`` is the linear predictor of the other variance-side block and
     ``prior_sd`` the block's prior scale.  Gaussian mode uses data shape 1/2
     and rates from the floored squared residuals; Laplace mode uses data
-    shape 1 and rates from the augmentation scales.
+    shape 1 and rates from the augmentation scales.  The returned ``H`` is a
+    view of ``axes.HT``, rewritten by the block's next conditional.
     """
     e_other = _clipped_exp(other, counters)
     alpha = spec.hyper.alpha
@@ -293,11 +346,11 @@ def _variance_conditional(
         resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
         rate = 0.5 * resid2 * e_other
         shape = 0.5
-    n, k = M.shape
-    H = np.vstack([M, (alpha ** -0.5) / prior_sd * np.eye(k)])
+    axes.set_prior((alpha ** -0.5) / prior_sd)
+    n, k = axes.n, axes.HT.shape[0]
     a = np.concatenate([np.full(n, shape), np.full(k, alpha)])
     kap = np.concatenate([np.maximum(rate, RATE_FLOOR), np.full(k, alpha)])
-    return CmlgParams(H=H, alpha=a, kappa=kap)
+    return CmlgParams(H=axes.HT.T, alpha=a, kappa=kap, h_checked=True)
 
 
 def beta2_conditional(
@@ -305,10 +358,16 @@ def beta2_conditional(
     spec: ModelSpec,
     data: Dataset,
     counters: RunCounters | None = None,
+    axes: RotatedDesign | None = None,
 ) -> CmlgParams:
-    """Assembled cMLG parameters of the variance fixed-effect conditional."""
+    """Assembled cMLG parameters of the variance fixed-effect conditional.
+
+    The parameters are those of ``u = V'beta2`` for the axes ``V`` of
+    ``axes``, a ``RotatedDesign`` of ``X2``; of ``beta2`` itself when
+    ``axes`` is None.
+    """
     return _variance_conditional(
-        spec.X2,
+        axes if axes is not None else RotatedDesign(spec.X2, np.eye(spec.p2)),
         state.eta2 @ spec.Psi2.T,
         math.sqrt(spec.hyper.sigma2_beta2),
         state, spec, data, counters,
@@ -320,10 +379,15 @@ def eta2_conditional(
     spec: ModelSpec,
     data: Dataset,
     counters: RunCounters | None = None,
+    axes: RotatedDesign | None = None,
 ) -> CmlgParams:
-    """Assembled cMLG parameters of the variance random-effect conditional."""
+    """Assembled cMLG parameters of the variance random-effect conditional.
+
+    In the coordinates of ``axes`` (a ``RotatedDesign`` of ``Psi2``), like
+    ``beta2_conditional``.
+    """
     return _variance_conditional(
-        spec.Psi2,
+        axes if axes is not None else RotatedDesign(spec.Psi2, np.eye(spec.r2)),
         state.beta2 @ spec.X2.T,
         state.sigma_eta2,
         state, spec, data, counters,
@@ -348,6 +412,7 @@ def _scan_cmlg_exact(
     params: CmlgParams,
     x0: np.ndarray,
     lower: float = -math.inf,
+    squares: np.ndarray | None = None,
 ) -> np.ndarray:
     """One systematic scan of exact coordinate draws from a cMLG density.
 
@@ -355,9 +420,10 @@ def _scan_cmlg_exact(
     exp(c_j t - sum_i u_i exp(H_ij t)), which is log-concave; draws use
     adaptive rejection sampling warm-started at the current value, whose
     log density, slope and curvature come from one pass over the rows.
+    ``squares``, when given, is ``H' * H'``, already computed by the caller.
     """
     HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
-    HT2 = HT * HT
+    HT2 = HT * HT if squares is None else squares
     a = params.alpha
     x = np.array(x0, dtype=float).reshape(-1)
     logk = np.log(params.kappa)
@@ -390,6 +456,28 @@ def _scan_cmlg_exact(
     return x
 
 
+def _scan_rotated(
+    rng: np.random.Generator,
+    name: str,
+    params: CmlgParams,
+    axes: RotatedDesign,
+    current: np.ndarray,
+    hook,
+) -> np.ndarray:
+    """Scan ``u = V'b`` from the current ``b`` along the axes; return ``V u``.
+
+    A hook sees, and may replace, the rotated conditional the scan draws
+    from; the cached squares of ``axes`` may then no longer match its map,
+    so they are not used.
+    """
+    squares = axes.HT2
+    if hook is not None:
+        params = hook(name, params)
+        squares = None
+    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=squares)
+    return axes.V @ u
+
+
 def fc_beta2(
     state: ChainState,
     spec: ModelSpec,
@@ -397,14 +485,19 @@ def fc_beta2(
     rng: np.random.Generator,
     hook=None,
     counters: RunCounters | None = None,
+    axes: RotatedDesign | None = None,
 ) -> np.ndarray:
-    """Draw the variance fixed effects from their cMLG conditional."""
+    """Draw the variance fixed effects along the principal axes of ``X2``.
+
+    ``axes`` is the chain's ``RotatedDesign`` of ``X2``, built here when
+    not given.
+    """
     if spec.p2 == 0:
         return np.empty(0)
-    params = beta2_conditional(state, spec, data, counters)
-    if hook is not None:
-        params = hook("beta2", params)
-    return _scan_cmlg_exact(rng, params, state.beta2)
+    if axes is None:
+        axes = RotatedDesign(spec.X2)
+    params = beta2_conditional(state, spec, data, counters, axes)
+    return _scan_rotated(rng, "beta2", params, axes, state.beta2, hook)
 
 
 def fc_eta2(
@@ -414,14 +507,18 @@ def fc_eta2(
     rng: np.random.Generator,
     hook=None,
     counters: RunCounters | None = None,
+    axes: RotatedDesign | None = None,
 ) -> np.ndarray:
-    """Draw the variance random effects; no-op for a zero-width block."""
+    """Draw the variance random effects along the principal axes of ``Psi2``.
+
+    No-op for a zero-width block; ``axes`` as in ``fc_beta2``.
+    """
     if spec.r2 == 0:
         return np.empty(0)
-    params = eta2_conditional(state, spec, data, counters)
-    if hook is not None:
-        params = hook("eta2", params)
-    return _scan_cmlg_exact(rng, params, state.eta2)
+    if axes is None:
+        axes = RotatedDesign(spec.Psi2)
+    params = eta2_conditional(state, spec, data, counters, axes)
+    return _scan_rotated(rng, "eta2", params, axes, state.eta2, hook)
 
 
 def fc_sigma2_eta1(state: ChainState, spec: ModelSpec, rng: np.random.Generator) -> float:
@@ -480,9 +577,10 @@ def fc_s(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
+    counters: RunCounters | None = None,
 ) -> np.ndarray:
     """Draw Laplace augmentation scales: 1/s_i is inverse-Gaussian."""
-    sigma2 = spec.variance(state.beta2, state.eta2)
+    sigma2 = spec.variance(state.beta2, state.eta2, counters)
     resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
     mu_s = np.sqrt(2.0 / (resid2 * sigma2))
     lam_s = 2.0 / sigma2
@@ -526,6 +624,9 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
     rng = np.random.default_rng(seed)
     state = initial_state(spec, data)
     counters = RunCounters()
+    # fixed for the whole chain, so every block draw stays an exact Gibbs update
+    beta2_axes = RotatedDesign(spec.X2) if spec.p2 else None
+    eta2_axes = RotatedDesign(spec.Psi2) if spec.r2 else None
     draws = {
         name: np.empty((config.n_stored,) + np.shape(getattr(state, name)))
         for name in BLOCKS
@@ -539,7 +640,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
         try:
             if laplace:
                 block = "s"
-                state.s = fc_s(state, spec, data, rng)
+                state.s = fc_s(state, spec, data, rng, counters)
             block = "beta1"
             state.beta1 = fc_beta1(state, spec, data, rng, counters)
             if spec.r1:
@@ -547,10 +648,10 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
                 state.eta1 = fc_eta1(state, spec, data, rng, counters)
             if spec.p2:
                 block = "beta2"
-                state.beta2 = fc_beta2(state, spec, data, rng, hook, counters)
+                state.beta2 = fc_beta2(state, spec, data, rng, hook, counters, beta2_axes)
             if spec.r2:
                 block = "eta2"
-                state.eta2 = fc_eta2(state, spec, data, rng, hook, counters)
+                state.eta2 = fc_eta2(state, spec, data, rng, hook, counters, eta2_axes)
             if spec.r1:
                 block = "sigma2_eta1"
                 state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)

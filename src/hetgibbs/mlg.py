@@ -22,7 +22,7 @@ kernels and the Gibbs engine count numerical repairs into one type.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -148,13 +148,16 @@ class CmlgParams:
     which every model conditional arrives), so no separate offset is kept.
     ``H`` must have at least as many rows as columns; full column rank is
     verified where it is available for free (the least-squares solve).
+    ``h_checked=True`` skips the pass that checks ``H`` is finite, for a
+    builder that has already checked every entry it writes into ``H``.
     """
 
     H: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
+    h_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, h_checked):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         if self.H.ndim != 2:
             raise ValueError("H must be a matrix")
@@ -169,7 +172,7 @@ class CmlgParams:
             raise ValueError("alpha and kappa must have one entry per row of H")
         if np.any(self.alpha <= 0.0) or np.any(self.kappa <= 0.0):
             raise ValueError("alpha and kappa must be strictly positive")
-        if not np.all(np.isfinite(self.H)):
+        if not h_checked and not np.all(np.isfinite(self.H)):
             raise ValueError("H must be finite")
 
     @property

@@ -115,19 +115,29 @@ def grid_normalize(logdensity, lo: float, hi: float, points: int = 10_001) -> Gr
 
 @dataclass
 class SyntheticShape:
-    """Block dimensions and likelihood of a synthetic model."""
+    """Block dimensions and likelihood of a synthetic model.
+
+    ``collinear`` is the correlation of each random-effect column with a
+    standard-normal factor shared by the columns of its block.  Near 1 the
+    columns are nearly collinear, as overlapping bisquare basis columns are,
+    and the variance random-effect conditional is a ridge; at 0 the columns
+    are independent standard normals.
+    """
 
     p1: int = 2
     p2: int = 1
     r1: int = 0
     r2: int = 0
     likelihood: str = "gaussian"
+    collinear: float = 0.0
 
     def __post_init__(self):
         if self.p1 < 1 or self.p2 < 1 or self.r1 < 0 or self.r2 < 0:
             raise ValueError("p1, p2 must be >= 1 and r1, r2 >= 0")
         if self.likelihood not in ("gaussian", "laplace"):
             raise ValueError("likelihood must be 'gaussian' or 'laplace'")
+        if not 0.0 <= self.collinear < 1.0:
+            raise ValueError("collinear must be in [0, 1)")
 
 
 @dataclass
@@ -140,6 +150,19 @@ class SyntheticTruth:
     eta2: np.ndarray
     seed: int
     likelihood: str
+    sigma2_eta1: float | None = None   # None where the block is absent
+    sigma_eta2: float | None = None
+
+
+def _random_effect_columns(prefix: str, r: int, shape: SyntheticShape, n: int, rng) -> dict:
+    if shape.collinear == 0.0:
+        return {f"{prefix}{j + 1}": rng.standard_normal(n) for j in range(r)}
+    shared = rng.standard_normal(n)
+    w = math.sqrt(shape.collinear)
+    return {
+        f"{prefix}{j + 1}": w * shared + math.sqrt(1.0 - shape.collinear) * rng.standard_normal(n)
+        for j in range(r)
+    }
 
 
 def _shape_columns(shape: SyntheticShape, n: int, rng: np.random.Generator) -> dict:
@@ -148,10 +171,8 @@ def _shape_columns(shape: SyntheticShape, n: int, rng: np.random.Generator) -> d
         cols[f"xm{j + 1}"] = rng.standard_normal(n)
     for j in range(shape.p2 - 1):
         cols[f"xv{j + 1}"] = rng.standard_normal(n)
-    for j in range(shape.r1):
-        cols[f"zm{j + 1}"] = rng.standard_normal(n)
-    for j in range(shape.r2):
-        cols[f"zv{j + 1}"] = rng.standard_normal(n)
+    cols.update(_random_effect_columns("zm", shape.r1, shape, n, rng))
+    cols.update(_random_effect_columns("zv", shape.r2, shape, n, rng))
     return cols
 
 
@@ -252,6 +273,7 @@ def draw_prior_coefficients(
             kappa=np.full(shape.p2, al),
         ),
     )
+    sigma2_eta1 = sigma_eta2 = None
     if shape.r1:
         sigma2_eta1 = hyper.b / rng.gamma(hyper.a, 1.0)
         eta1 = rng.normal(0.0, math.sqrt(sigma2_eta1), size=shape.r1)
@@ -285,6 +307,8 @@ def draw_prior_coefficients(
         eta2=eta2,
         seed=-1,
         likelihood=shape.likelihood,
+        sigma2_eta1=sigma2_eta1,
+        sigma_eta2=sigma_eta2,
     )
 
 
@@ -348,6 +372,11 @@ def _sbc_replicate(args):
         for j in range(true.shape[0]):
             names.append(f"{block}_{j + 1}")
             ranks.append(int(np.sum(draws[:, j] < true[j])))
+    for scale in ("sigma2_eta1", "sigma_eta2"):
+        true = getattr(truth, scale)
+        if true is not None:
+            names.append(scale)
+            ranks.append(int(np.sum(getattr(chain, scale)[-thin_to:] < true)))
     return names, ranks, len(chain.beta1[-thin_to:])
 
 

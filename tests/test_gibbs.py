@@ -10,6 +10,7 @@ from hetgibbs.gibbs import (
     ChainState,
     GibbsConfig,
     GibbsError,
+    RotatedDesign,
     beta2_conditional,
     concatenate_chains,
     eta2_conditional,
@@ -26,7 +27,7 @@ from hetgibbs.gibbs import (
     inverse_gaussian_sample,
     run_gibbs,
 )
-from hetgibbs.mlg import cmlg_sample, log_gamma_sample
+from hetgibbs.mlg import RunCounters, cmlg_sample, log_gamma_sample
 
 
 def loaded_openblas():
@@ -291,6 +292,60 @@ class TestVarianceBlockLaws:
         assert seen == [("beta2", (7, 1))]
 
 
+class TestRotatedScan:
+    @pytest.mark.parametrize("turn", ["as_computed", "proper_rotation"])
+    def test_rotated_scan_matches_grid_conditional(self, turn):
+        # two nearly collinear columns make the beta2 conditional a ridge
+        # (posterior correlation about -0.97); a scan along the principal
+        # axes of X2 must still draw it exactly.  A 2x2 reflection is
+        # symmetric, so V and V' coincide; with one axis flipped to make V a
+        # proper rotation, a V used where V' belongs would show
+        rng = np.random.default_rng(20)
+        n = 30
+        x = rng.standard_normal(n)
+        X2 = np.column_stack([x, x + 0.05 * rng.standard_normal(n)])
+        y = rng.standard_normal(n) * np.exp(-0.15 * x)
+        al, sd = 5.0, 1.0
+        spec = make_spec(np.ones((n, 1)), X2, hyper=Hyperparams(alpha=al, sigma2_beta2=sd**2))
+        data = Dataset(y=y)
+        axes = RotatedDesign(X2)
+        if turn == "proper_rotation":
+            V = axes.V * [np.linalg.det(axes.V), 1.0]
+            assert not np.allclose(V, V.T)
+            axes = RotatedDesign(X2, V)
+        V0 = axes.V.copy()
+        assert np.allclose(V0.T @ V0, np.eye(2), atol=1e-12)
+
+        # successive scans are nearly independent along these axes (lag-1
+        # autocorrelation about 0.03), so the draws are used unthinned
+        st = state_for(spec, beta1=[0.0])
+        rng_d = np.random.default_rng(22)
+        draws = []
+        for i in range(100 + 6000):
+            st.beta2 = fc_beta2(st, spec, data, rng_d, axes=axes)
+            if i >= 100:
+                draws.append(st.beta2)
+        draws = np.array(draws)
+        assert np.array_equal(axes.V, V0)
+
+        # reference: the conditional written from the model on a 2-D grid,
+        # sum_i [lp_i/2 - y_i^2 exp(lp_i)/2] + sum_j [al c b_j - al exp(c b_j)]
+        c = al ** -0.5 / sd
+        g = np.linspace(-5.0, 5.0, 1001)
+        B1, B2 = np.meshgrid(g, g, indexing="ij")
+        logp = al * c * (B1 + B2) - al * (np.exp(c * B1) + np.exp(c * B2))
+        for i in range(n):
+            lp = B1 * X2[i, 0] + B2 * X2[i, 1]
+            logp += 0.5 * lp - 0.5 * y[i] ** 2 * np.exp(lp)
+        dens = np.exp(logp - logp.max())
+        edge = dens[[0, -1], :].sum() + dens[:, [0, -1]].sum()
+        assert edge < 1e-12 * dens.sum()
+        for j, marginal in enumerate((dens.sum(axis=1), dens.sum(axis=0))):
+            cdf = np.cumsum(marginal) / marginal.sum()
+            p = stats.kstest(draws[:, j], lambda v: np.interp(v, g, cdf)).pvalue
+            assert p > 0.01, (j, p)
+
+
 class TestScaleBlocks:
     def test_sigma2_eta1_plugin_family(self):
         # a=b=0.5 and eta1=(1,1) give an IG(1.5, 1.5) conditional
@@ -435,6 +490,21 @@ class TestRunGibbs:
         spec.hyper = Hyperparams(trunc_lower=7.0)
         st = initial_state(spec, data)
         assert 1.0 / st.sigma_eta2 > 7.0
+
+    @pytest.mark.parametrize("lp", [800.0, -800.0])
+    @pytest.mark.parametrize("likelihood", ["gaussian", "laplace"])
+    def test_variance_clip_counted(self, lp, likelihood):
+        # the weights (Gaussian) or the scales' law (Laplace) need the
+        # variance, whose linear predictor is clipped at +-700 on every row
+        spec, data = self.small_problem(n=6, likelihood=likelihood)
+        st = state_for(spec, beta1=[0.0, 0.0], beta2=[lp, 0.0], s=np.ones(6))
+        counters = RunCounters()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if likelihood == "laplace":
+                fc_s(st, spec, data, np.random.default_rng(0), counters)
+            else:
+                fc_beta1(st, spec, data, np.random.default_rng(0), counters)
+        assert counters.exp_clamps == 6
 
     def test_error_carries_iteration_index(self):
         spec, data = self.small_problem()

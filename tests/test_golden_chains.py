@@ -5,9 +5,10 @@ n=60) with two chains of 80 iterations and hashes the raw bytes of every
 chain's draw matrix.  A behaviour-preserving change to the sampler must
 reproduce these digests bit for bit; a change that alters the random
 stream must update them deliberately, together with a fresh calibration
-check.  They were last re-recorded when each exact coordinate draw began
-seeding its envelope from one Newton step (``TestSbcVarianceRandomEffects``
-in ``test_oracle.py`` and acceptance criterion 4 passed on that sampler).
+check.  They were last re-recorded when the beta2 and eta2 blocks began to
+be scanned along the principal axes of their designs
+(``TestSbcVarianceRandomEffects`` and ``TestSbcCollinearLaplace`` in
+``test_oracle.py`` and acceptance criteria 4 and 8 passed on that sampler).
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1
 and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), at
@@ -29,24 +30,24 @@ CASES = {
         SyntheticShape(p1=2, p2=2, r1=3, r2=3),
         Hyperparams(),
         [
-            "f922c76d6e3ad82f877d791775d3f7d057c797f56e14b234f82c7fa0c305e90a",
-            "a15ffe1006925376d89cdf76f6ec6ecf6fc002073edd5543da0c4e718e024310",
+            "68d8e08f9e29a5514a91fc479800d5cc53fa4b3efa0b64b192430f8e84fe74e1",
+            "9587ebc27c531af0cf701af92357f2e21cd801186be16190a55468bafac552fc",
         ],
     ),
     "laplace_re": (
         SyntheticShape(p1=2, p2=2, r1=3, r2=3, likelihood="laplace"),
         Hyperparams(),
         [
-            "d1ae08fa27395b84be20cd42dcc055f51bfecd5fd31d2cee1d44e4198b872271",
-            "6531ea7e35f6cb74a0f37c4a8cfcf7cd69dab6aa116990b1979cca2dbc0da62c",
+            "e54adb9996e1cd1713595d13f61d68593fc811cd90bf338292e857e5f1bb9c01",
+            "cbdbccf32b04070855cf6705be7a7c57f6bad6ec98e025c3d015d56ea53c3c94",
         ],
     ),
     "truncated_scale": (
         SyntheticShape(p1=1, p2=1, r2=4),
         Hyperparams(trunc_lower=7.0),
         [
-            "ac674a55e8005aaea0213d048c31b039e4bdf12a8967cfe9e3bb396a74a1b6df",
-            "9081596dd86f3937ad9fcdbd2f0eed8d0702f6533f7c9fb8f80686660187c83f",
+            "449507c3b694ef5f41bfb49f41cc2540b9e5d2d574084d222f2598104efb8967",
+            "2f7b7a346a7f983b0751702513238e5c7b2869bda97e6a0b3245f88d48ff1ca4",
         ],
     ),
 }

@@ -108,6 +108,17 @@ class TestSyntheticData:
         truth = draw_prior_coefficients(shape, hyper, np.random.default_rng(5))
         assert truth.beta1.shape == (3,) and truth.beta2.shape == (2,)
         assert truth.eta1.shape == (2,) and truth.eta2.shape == (2,)
+        assert truth.sigma2_eta1 > 0.0 and truth.sigma_eta2 > 0.0
+
+    def test_collinear_columns_share_a_factor(self):
+        shape = SyntheticShape(p1=1, p2=1, r1=2, r2=3, collinear=0.9)
+        data, _ = generate_synthetic(shape, seed=6, n=20_000)
+        for prefix, r in (("zm", 2), ("zv", 3)):
+            corr = np.corrcoef([data.columns[f"{prefix}{j + 1}"] for j in range(r)])
+            off = corr[~np.eye(r, dtype=bool)]
+            assert np.allclose(off, 0.9, atol=0.02)
+        with pytest.raises(ValueError):
+            SyntheticShape(r2=2, collinear=1.0)
 
 
 class TestDistributionIdentities:
@@ -154,6 +165,16 @@ class TestRankMachinery:
         with pytest.raises(ValueError):
             chi_square_uniformity(np.array([0, 5, 101]), n_levels=101)
 
+    def test_sbc_ranks_independent_of_worker_count(self, monkeypatch):
+        shape = SyntheticShape(p1=1, p2=1, r1=1, r2=2)
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HETGIBBS_THREADS", workers)
+            runs.append(sbc_run(shape, Hyperparams(), replicates=100, iterations=30, n=15,
+                                thin_to=20, seed=730))
+        assert runs[0].param_names == runs[1].param_names
+        assert np.array_equal(runs[0].ranks, runs[1].ranks)
+
 
 class TestSbcVarianceRandomEffects:
     # eta1 and eta2 are ranked; the prior on 1/sigma_eta2 is log-gamma
@@ -163,15 +184,39 @@ class TestSbcVarianceRandomEffects:
     HYPER = Hyperparams(sigma2_beta1=1.0, sigma2_beta2=1.0, alpha=1000.0,
                         omega=1000.0, rho=1000.0 * math.exp(-3.0), trunc_lower=3.0)
 
-    def test_ranks_uniform(self):
-        # about 1 ms per replicate iteration on one core: 150 s
+    def test_ranks_uniform(self, monkeypatch):
+        # about 1 ms per replicate iteration on one core: 150 s, halved on
+        # two worker processes (the ranks do not depend on the worker count)
+        monkeypatch.setenv("HETGIBBS_THREADS", "2")
         res = sbc_run(self.SHAPE, self.HYPER, replicates=300, iterations=500, n=50, seed=700)
         assert res.failures == 0
-        assert {"eta1_2", "eta2_3"} <= res.p_values.keys()
+        assert {"eta1_2", "eta2_3", "sigma2_eta1", "sigma_eta2"} <= res.p_values.keys()
         assert min(res.p_values.values()) > 0.005, res.p_values
 
     def test_eta2_kappa_doubling_control_fails(self):
         res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=701,
+                      hook=kappa_doubling_hook("eta2"))
+        assert min(res.p_values[f"eta2_{j}"] for j in (1, 2, 3)) < 1e-3
+
+
+class TestSbcCollinearLaplace:
+    # Laplace data and three variance random-effect columns that share a
+    # factor (correlation 0.95 with it): the eta2 conditional is a ridge, so
+    # the principal axes of Psi2 are far from arbitrary, and a scan that
+    # applies V where V' belongs fails here (as failed replicates or as
+    # non-uniform ranks)
+    SHAPE = SyntheticShape(p1=2, p2=2, r2=3, likelihood="laplace", collinear=0.95)
+    HYPER = TestSbcVarianceRandomEffects.HYPER
+
+    def test_ranks_uniform(self, monkeypatch):
+        monkeypatch.setenv("HETGIBBS_THREADS", "2")
+        res = sbc_run(self.SHAPE, self.HYPER, replicates=200, iterations=400, n=50, seed=720)
+        assert res.failures == 0
+        assert {"eta2_3", "sigma_eta2"} <= res.p_values.keys()
+        assert min(res.p_values.values()) > 0.005, res.p_values
+
+    def test_eta2_kappa_doubling_control_fails(self):
+        res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=721,
                       hook=kappa_doubling_hook("eta2"))
         assert min(res.p_values[f"eta2_{j}"] for j in (1, 2, 3)) < 1e-3
 
