@@ -56,7 +56,6 @@ from .mlg import (
     CmlgParams,
     ConditioningError,
     MlgParams,
-    cmlg_sample,
     log_gamma_sample,
     mlg_gaussian_limit_params,
     mlg_log_density,
@@ -66,6 +65,7 @@ from .oracle import (
     GridOracle,
     SyntheticShape,
     SyntheticTruth,
+    cmlg_sample,
     generate_synthetic,
     grid_normalize,
     laplace_mixture_check,

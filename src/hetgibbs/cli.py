@@ -13,6 +13,7 @@ import configparser
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +33,12 @@ from .metrics import (
 )
 from .oracle import (
     SyntheticShape,
-    cmlg_scalar_tv,
+    check_gaussian_limit,
+    check_laplace_augmentation,
+    check_mlg_law,
+    check_projection_tv,
+    check_rank_calibration,
     generate_synthetic,
-    grid_normalize,
-    invgauss_conditional_check,
-    kappa_doubling_hook,
-    laplace_mixture_check,
-    sbc_run,
 )
 from .persist import (
     format_float,
@@ -286,6 +286,10 @@ def _build_from_config(cfg: dict):
     t_name = _get(cfg, "data", "time_index", None)
     if t_name is not None and not esvm:
         raise ConfigError("[data] time_index applies only to ESVM fits ([esvm] enabled = true)")
+    if esvm and _get(cfg, "model", "trunc_lower", None) is not None:
+        raise ConfigError("[model] trunc_lower does not apply to ESVM fits; set [esvm] c instead")
+    if esvm and _get(cfg, "model", "likelihood", "gaussian") != "gaussian":
+        raise ConfigError("[model] likelihood must be gaussian for ESVM fits (the reduction is Gaussian)")
     dataset, report = load_csv(data_path)
     dataset = _extract_response(dataset, response)
     config = _gibbs_config(cfg)
@@ -332,21 +336,11 @@ def _build_from_config(cfg: dict):
             weight_sd=_get(cfg, "esvm", "weight_sd", 0.1),
             delta=_get(cfg, "esvm", "delta", 0.1),
         )
-        es_hyper = Hyperparams(
-            sigma2_beta1=hyper.sigma2_beta1,
-            sigma2_beta2=hyper.sigma2_beta2,
-            alpha=hyper.alpha,
-            a=hyper.a,
-            b=hyper.b,
-            omega=hyper.omega,
-            rho=hyper.rho,
-            trunc_lower=_get(cfg, "esvm", "c", 7.0),
-        )
         es = EsvmSpec(
             reservoir=reservoir,
             inputs=inputs,
             mean_prior_var=_get(cfg, "esvm", "mean_prior_var", hyper.sigma2_beta1),
-            hyper=es_hyper,
+            hyper=replace(hyper, trunc_lower=_get(cfg, "esvm", "c", 7.0)),
         )
         spec, gdata = esvm_to_spec(es, returns)
         # the first kept return enters only as the lag of the second
@@ -474,98 +468,31 @@ def cmd_cv(cfg: dict) -> int:
     return 0
 
 
-def _validate_mlg(seed: int, results: list) -> None:
-    from .mlg import MlgParams, mlg_log_density, mlg_sample, mlg_gaussian_limit_params
-    from scipy import stats
-
-    rng = np.random.default_rng(seed)
-    for a, k in ((1.0, 1.0), (2.0, 3.0), (0.5, 0.5)):
-        orc = grid_normalize(
-            lambda x: mlg_log_density([x], MlgParams([0.0], [[1.0]], [a], [k])),
-            -40.0 / max(a, 0.5),
-            12.0,
-            points=20_001,
-        )
-        err = abs(orc.normalizer - 1.0)
-        results.append(("mlg", f"density_normalizes_a{a}_k{k}", err < 1e-4, f"abs err {err:.2e}"))
-    draws = np.array([
-        mlg_sample(rng, mlg_gaussian_limit_params([0.0], [[1.0]], 1e4))[0]
-        for _ in range(20_000)
-    ])
-    ks = stats.kstest(draws, "norm")
-    results.append(("mlg", "gaussian_limit_ks", ks.pvalue > 0.01, f"p {ks.pvalue:.4f}"))
-    tv_identity = cmlg_scalar_tv(
-        np.array([0.0, 0.0, 1.0]),
-        np.array([2.0, 2.0, 1.5]),
-        np.array([1.0, 1.0, 2.0]),
-        draws=40_000,
-        seed=seed,
-    )
-    results.append(("mlg", "cmlg_tv_identity_case", tv_identity < 0.02, f"tv {tv_identity:.4f}"))
-    tv_general = cmlg_scalar_tv(
-        np.array([1.0, 10.0]),
-        np.array([1.0, 1e4]),
-        np.array([1.0, 1e4]),
-        draws=40_000,
-        seed=seed,
-    )
-    results.append(("mlg", "cmlg_tv_general_recorded", True, f"tv {tv_general:.4f} (recorded, not asserted)"))
-
-
-def _validate_laplace(seed: int, results: list) -> None:
-    stat, p = laplace_mixture_check(2.0, draws=100_000, seed=seed)
-    results.append(("laplace", "scale_mixture_ks", p > 0.01, f"ks {stat:.5f} p {p:.4f}"))
-    chk = invgauss_conditional_check()
-    results.append(
-        ("laplace", "invgauss_derived_form", chk["derived_l1"] < 1e-4,
-         f"l1 {chk['derived_l1']:.2e}")
-    )
-    results.append(
-        ("laplace", "invgauss_variant_mismatch", chk["variant_l1"] > 0.05,
-         f"l1 {chk['variant_l1']:.3f}")
-    )
-
-
-def _validate_sbc(seed: int, replicates: int, results: list) -> None:
-    shape = SyntheticShape(p1=2, p2=2)
-    hyper = Hyperparams(sigma2_beta1=1.0, sigma2_beta2=1.0, alpha=1000.0)
-    res = sbc_run(shape, hyper, replicates=replicates, iterations=600, n=50, seed=seed)
-    worst = min(res.p_values.values())
-    results.append(
-        ("sbc", "rank_uniformity", worst > 0.005,
-         f"min p {worst:.4f} over {len(res.p_values)} params, failures {res.failures}")
-    )
-    neg = sbc_run(
-        shape, hyper, replicates=max(replicates // 2, 100), iterations=600, n=50,
-        seed=seed + 1, hook=kappa_doubling_hook("beta2"),
-    )
-    worst_neg = min(neg.p_values.values())
-    results.append(
-        ("sbc", "negative_control_fails", worst_neg < 1e-3, f"min p {worst_neg:.2e}")
-    )
-
-
 def cmd_validate(suite: str, seed: int, out_dir: str, replicates: int = 150) -> int:
-    """Run validation suites and write a machine-readable report."""
-    known = ("mlg", "laplace", "sbc", "all")
-    if suite not in known:
-        print(f"error: unknown suite {suite!r}; choose from {known}", file=sys.stderr)
+    """Run a suite's acceptance checks (``oracle.check_*``) at ``seed``; write a report.
+
+    ``mlg`` runs criteria 1-3, ``laplace`` 6, ``sbc`` 4 over ``replicates`` replicates.
+    """
+    suites = {
+        "mlg": {1: lambda: check_mlg_law(seed), 2: lambda: check_gaussian_limit(seed),
+                3: lambda: check_projection_tv(seed)},
+        "laplace": {6: lambda: check_laplace_augmentation(seed)},
+        "sbc": {4: lambda: check_rank_calibration(seed, replicates)},
+    }
+    if suite not in (*suites, "all"):
+        print(f"error: unknown suite {suite!r}; choose from {(*suites, 'all')}", file=sys.stderr)
         return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results: list = []
-    if suite in ("mlg", "all"):
-        _validate_mlg(seed, results)
-    if suite in ("laplace", "all"):
-        _validate_laplace(seed, results)
-    if suite in ("sbc", "all"):
-        _validate_sbc(seed, replicates, results)
     sections: dict = {"run": {"suite": suite, "seed": seed}}
+    chosen = {c: run for name, runs in suites.items() if suite in (name, "all") for c, run in runs.items()}
     any_fail = False
-    for group, name, ok, detail in results:
-        sections.setdefault(group, {})[name] = f"{'pass' if ok else 'FAIL'} ({detail})"
-        print(f"[{group}] {name}: {'pass' if ok else 'FAIL'} ({detail})")
-        any_fail |= not ok
+    for criterion, run in chosen.items():
+        group = sections[f"criterion_{criterion:02d}"] = {}
+        for check, ok, detail in run():
+            group[check] = f"{'pass' if ok else 'FAIL'} ({detail})"
+            print(f"[criterion {criterion:02d}] {check}: {group[check]}")
+            any_fail |= not ok
     write_metadata(out / "validation_report.txt", sections)
     return 1 if any_fail else 0
 

@@ -10,7 +10,7 @@ an ordinary ``ModelSpec`` that ``run_gibbs`` consumes unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -178,23 +178,13 @@ def esvm_to_spec(es: EsvmSpec, returns: np.ndarray) -> tuple[ModelSpec, Dataset]
             f"expected {T1 + 1} returns for {T1} input rows, got {returns.shape[0]}"
         )
     states = reservoir_states(es.reservoir, _standardize_inputs(es.inputs))
-    hyper = Hyperparams(
-        sigma2_beta1=es.mean_prior_var,
-        sigma2_beta2=es.hyper.sigma2_beta2,
-        alpha=es.hyper.alpha,
-        a=es.hyper.a,
-        b=es.hyper.b,
-        omega=es.hyper.omega,
-        rho=es.hyper.rho,
-        trunc_lower=es.hyper.trunc_lower,
-    )
     spec = ModelSpec(
         X1=np.ones((T1, 1)),
         Psi1=np.empty((T1, 0)),
         X2=np.empty((T1, 0)),
         Psi2=states,
         likelihood="gaussian",
-        hyper=hyper,
+        hyper=replace(es.hyper, sigma2_beta1=es.mean_prior_var),
         x1_names=["mean"],
         x2_names=[],
     )

@@ -28,7 +28,7 @@ conditional, with map ``[M V; c V]``, that the scan draws from.
 The least-squares projection recipe once offered beside the exact scan
 inflates the conditional variance of these data-augmented maps (about 2.5x
 for an intercept-only variance block); it survives only as
-``mlg.cmlg_sample``, the subject of the total-variation study in
+``oracle.cmlg_sample``, the subject of the total-variation study in
 ``oracle.cmlg_scalar_tv``.
 """
 

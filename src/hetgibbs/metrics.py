@@ -52,10 +52,6 @@ class PointwiseLogLik:
         if self.mode not in ("gaussian", "laplace"):
             raise ValueError("mode must be 'gaussian' or 'laplace'")
 
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
 
 def _loglik_values(y: np.ndarray, mu: np.ndarray, sigma2: np.ndarray, mode: str) -> np.ndarray:
     if mode == "laplace":

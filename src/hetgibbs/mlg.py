@@ -3,17 +3,14 @@
 The multivariate log-gamma (MLG) law is the distribution of an affine
 transform ``V log(g) + mu`` of independent Gamma variates ``g_i`` with shape
 ``alpha_i`` and rate ``kappa_i``.  This module provides density evaluation
-and random-variate generation for that family, for its conditional variant
-(cMLG, parameterized by a tall linear map), and for the univariate log-gamma
-building block.
+and random-variate generation for that family and for the univariate
+log-gamma building block, and the parameters of its conditional variant
+(cMLG, parameterized by a tall linear map).
 
-``cmlg_sample`` is the least-squares projection recipe ``(H'H)^{-1} H' q``
-with ``q ~ MLG(0, I, alpha, kappa)``.  For a square invertible ``H`` (and
-for axis-aligned selections) this is an exact draw from the cMLG density;
-for a general tall ``H`` it is the recipe's projection law, which differs
-from the density-normalized conditional.  It is kept as the subject of the
-total-variation study (``oracle.cmlg_scalar_tv``); the Gibbs engine draws
-its cMLG conditionals exactly by coordinate scan (see ``hetgibbs.gibbs``).
+The Gibbs engine draws its cMLG conditionals exactly by coordinate scan
+(see ``hetgibbs.gibbs``).  The least-squares projection recipe
+``oracle.cmlg_sample``, kept for the total-variation study, lives with the
+oracle.
 
 ``RunCounters`` lives here, beside ``CLAMP_LIMIT``, so that the density
 kernels and the Gibbs engine count numerical repairs into one type.
@@ -37,7 +34,6 @@ __all__ = [
     "log_gamma_sample",
     "mlg_log_density",
     "mlg_sample",
-    "cmlg_sample",
     "mlg_gaussian_limit_params",
 ]
 
@@ -147,7 +143,7 @@ class CmlgParams:
     Any location offset is assumed absorbed into ``kappa`` (the form in
     which every model conditional arrives), so no separate offset is kept.
     ``H`` must have at least as many rows as columns; full column rank is
-    verified where it is available for free (the least-squares solve).
+    verified where it is available for free (``oracle.cmlg_sample``'s solve).
     ``h_checked=True`` skips the pass that checks ``H`` is finite, for a
     builder that has already checked every entry it writes into ``H``.
     """
@@ -227,23 +223,6 @@ def mlg_sample(rng: np.random.Generator, p: MlgParams) -> np.ndarray:
     g = rng.gamma(p.alpha, 1.0)
     logg = np.log(g) - np.log(p.kappa)
     return p.V @ logg + p.mu
-
-
-def cmlg_sample(rng: np.random.Generator, c: CmlgParams) -> np.ndarray:
-    """Projection draw for the conditional MLG.
-
-    Draws ``q ~ MLG(0, I, alpha, kappa)`` and returns the least-squares
-    solution of ``H x = q`` (rank-revealing solve).  Exact for square or
-    axis-selecting ``H``; the recorded projection law otherwise.
-    """
-    g = rng.gamma(c.alpha, 1.0)
-    q = np.log(g) - np.log(c.kappa)
-    sol, _, rank, _ = np.linalg.lstsq(c.H, q, rcond=None)
-    if rank < c.dim:
-        raise ValueError(
-            f"H is rank-deficient: rank {rank} for {c.dim} columns"
-        )
-    return sol
 
 
 def mlg_gaussian_limit_params(center, cov_factor, alpha_scalar: float) -> MlgParams:

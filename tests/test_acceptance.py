@@ -1,16 +1,19 @@
 """Acceptance suite: one criterion per test, printed as a pass/fail line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Every tolerance is
-stated inline; expected values come from analytic identities or from
-independent oracles (grid quadrature, closed-form conjugate posteriors,
-rank-calibration), never from the code under test.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Expected values come
+from analytic identities or from independent oracles (grid quadrature,
+closed-form conjugate posteriors, rank-calibration), never from the code
+under test.  The parameters, draw counts and bounds of criteria 1-4 and 6
+live in their ``oracle.check_*`` functions, which ``hetgibbs validate``
+also runs: changing a bound there changes an acceptance bound.  Those
+tests keep only their seeds and wall-time bounds; every other tolerance is
+stated inline.
 """
 
 import math
 import time
 
 import numpy as np
-from scipy import stats
 
 from hetgibbs.design import Dataset, Hyperparams, ModelSpec
 from hetgibbs.esn import EsvmSpec, build_reservoir, esvm_inputs, esvm_to_spec
@@ -25,17 +28,15 @@ from hetgibbs.metrics import (
     msev,
     waic,
 )
-from hetgibbs.mlg import MlgParams, mlg_gaussian_limit_params, mlg_log_density, mlg_sample
 from hetgibbs.oracle import (
     SyntheticShape,
     SyntheticTruth,
-    cmlg_scalar_tv,
+    check_gaussian_limit,
+    check_laplace_augmentation,
+    check_mlg_law,
+    check_projection_tv,
+    check_rank_calibration,
     generate_synthetic,
-    grid_normalize,
-    invgauss_conditional_check,
-    kappa_doubling_hook,
-    laplace_mixture_check,
-    sbc_run,
     synthetic_model_spec,
 )
 
@@ -45,80 +46,30 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_mlg_law_correctness():
+def run_criterion(num: int, limit_s: float, check, *args) -> None:
+    """Report an oracle check's records as one criterion line, within a wall-time bound."""
     t0 = time.perf_counter()
-    a = np.array([0.5, 1.0, 3.0])
-    k = np.array([1.0, 2.0, 0.5])
-    p = MlgParams(np.zeros(3), np.eye(3), a, k)
-    rng = np.random.default_rng(101)
-    draws = np.array([mlg_sample(rng, p) for _ in range(100_000)])
-    pvals = [
-        stats.kstest(np.exp(draws[:, j]), stats.gamma(a[j], scale=1.0 / k[j]).cdf).pvalue
-        for j in range(3)
-    ]
-    norm_errs = []
-    for aa, kk in ((0.5, 1.0), (1.0, 1.0), (2.0, 3.0)):
-        pp = MlgParams([0.0], [[1.0]], [aa], [kk])
-        orc = grid_normalize(lambda x: mlg_log_density([x], pp), -70.0, 14.0, points=40_001)
-        norm_errs.append(abs(orc.normalizer - 1.0))
+    records = check(*args)
     elapsed = time.perf_counter() - t0
-    ok = min(pvals) > 0.01 and max(norm_errs) <= 1e-4 and elapsed < 30.0
-    report(1, ok, f"KS p min {min(pvals):.4f} (> 0.01), quadrature err max "
-                  f"{max(norm_errs):.2e} (<= 1e-4), {elapsed:.1f}s (< 30s)")
+    ok = all(passed for _, passed, _ in records) and elapsed < limit_s
+    details = "; ".join(detail for _, _, detail in records)
+    report(num, ok, f"{details}; {elapsed:.1f}s (< {limit_s:.0f}s)")
+
+
+def test_criterion_01_mlg_law_correctness():
+    run_criterion(1, 30.0, check_mlg_law, 101)
 
 
 def test_criterion_02_gaussian_limit():
-    t0 = time.perf_counter()
-    ks = []
-    for i, alpha in enumerate((10.0, 100.0, 1000.0, 10_000.0)):
-        rng = np.random.default_rng(200 + i)
-        p = mlg_gaussian_limit_params([0.0], [[1.0]], alpha)
-        draws = np.array([mlg_sample(rng, p)[0] for _ in range(100_000)])
-        ks.append(stats.kstest(draws, "norm").statistic)
-    elapsed = time.perf_counter() - t0
-    mono = all(ks[i] > ks[i + 1] for i in range(3))
-    ok = mono and ks[-1] < 0.01 and elapsed < 60.0
-    report(2, ok, "KS distances " + ", ".join(f"{d:.4f}" for d in ks) +
-           f" (monotone decreasing, last < 0.01), {elapsed:.1f}s (< 1min)")
+    run_criterion(2, 60.0, check_gaussian_limit, 200)
 
 
 def test_criterion_03_cmlg_projection_vs_grid_oracle():
-    t0 = time.perf_counter()
-    tv_exact = cmlg_scalar_tv(
-        np.array([0.0, 0.0, 1.0]), np.array([2.0, 2.0, 1.5]),
-        np.array([1.0, 1.0, 2.0]), draws=100_000, seed=301,
-    )
-    tv_scaled = cmlg_scalar_tv(
-        np.array([1.0, 10.0]), np.array([1.0, 1e4]), np.array([1.0, 1e4]),
-        draws=100_000, seed=302,
-    )
-    tv_general = cmlg_scalar_tv(
-        np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-        draws=100_000, seed=303,
-    )
-    elapsed = time.perf_counter() - t0
-    ok = tv_exact < 0.02 and elapsed < 120.0
-    report(3, ok, f"TV identity-reduction {tv_exact:.4f} (< 0.02); recorded general-map "
-                  f"TVs: scalar-with-tight-row {tv_scaled:.4f}, equal-rows {tv_general:.4f}; "
-                  f"{elapsed:.1f}s (< 2min)")
+    run_criterion(3, 120.0, check_projection_tv, 301)
 
 
 def test_criterion_04_sbc_uniformity_and_negative_control():
-    t0 = time.perf_counter()
-    shape = SyntheticShape(p1=2, p2=2)
-    hyper = Hyperparams(sigma2_beta1=1.0, sigma2_beta2=1.0, alpha=1000.0)
-    res = sbc_run(shape, hyper, replicates=500, iterations=600, n=50, seed=400)
-    worst = min(res.p_values.values())
-    neg = sbc_run(shape, hyper, replicates=150, iterations=600, n=50, seed=401,
-                  hook=kappa_doubling_hook("beta2"))
-    worst_neg = min(neg.p_values.values())
-    elapsed = time.perf_counter() - t0
-    ok = (worst > 0.005 and res.failures == 0 and worst_neg < 1e-3
-          and elapsed < 1800.0)
-    detail = ", ".join(f"{k} p={v:.3f}" for k, v in res.p_values.items())
-    report(4, ok, f"rank uniformity over 500 replicates: {detail} (all > 0.005); "
-                  f"kappa-doubling control min p {worst_neg:.2e} (< 1e-3); "
-                  f"{elapsed / 60.0:.1f}min (< 30min)")
+    run_criterion(4, 1800.0, check_rank_calibration, 400, 500)
 
 
 def test_criterion_05_constant_variance_conjugacy():
@@ -156,16 +107,7 @@ def test_criterion_05_constant_variance_conjugacy():
 
 
 def test_criterion_06_laplace_augmentation():
-    t0 = time.perf_counter()
-    stat, p = laplace_mixture_check(2.0, draws=100_000, seed=600)
-    chk = invgauss_conditional_check(resid2=1.3, sigma2=0.7)
-    elapsed = time.perf_counter() - t0
-    ok = (p > 0.01 and chk["derived_l1"] < 1e-4 and chk["variant_l1"] > 0.05
-          and elapsed < 60.0)
-    report(6, ok, f"scale-mixture KS p {p:.4f} (> 0.01); completing-the-square: "
-                  f"lam=2/sigma2 form L1 {chk['derived_l1']:.2e} (match), "
-                  f"in-text variant L1 {chk['variant_l1']:.3f} (mismatch); "
-                  f"{elapsed:.1f}s (< 1min)")
+    run_criterion(6, 60.0, check_laplace_augmentation, 600)
 
 
 def test_criterion_07_parameter_recovery_and_msev_ordering():

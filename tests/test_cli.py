@@ -251,6 +251,16 @@ class TestCommands:
         assert self.fit_esvm_with_row3(tmp_path, "", "") == 1
         assert "'vix' is not finite in data row 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, named", [("trunc_lower = 3", "[esvm] c"),
+                                             ("likelihood = laplace", "likelihood")])
+    def test_esvm_ignored_model_key_rejected(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "esvm.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'absent.csv'}\nresponse = ret\n"
+                       f"[esvm]\nenabled = true\n[model]\n{line}\n")
+        assert main(["fit", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and named in err
+
     def test_time_index_outside_esvm_rejected(self, tmp_path, capsys):
         cfg = simulate_then_fit(tmp_path)
         cfg.write_text(cfg.read_text().replace("var_terms = grp", "var_terms = grp\ntime_index = x"))
@@ -312,3 +322,25 @@ class TestCommands:
 
     def test_validate_unknown_suite(self, capsys, tmp_path):
         assert cmd_validate("nope", seed=0, out_dir=str(tmp_path)) == 2
+
+    def test_validate_exit_code_and_report(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def stub(name, ok=True):
+            def check(*args):  # (seed,) or (seed, replicates)
+                calls[name] = args
+                return [(name, ok, "stub")]
+            return check
+
+        for name in ("check_mlg_law", "check_gaussian_limit", "check_projection_tv",
+                     "check_laplace_augmentation", "check_rank_calibration"):
+            monkeypatch.setattr(cli, name, stub(name))
+        assert main(["validate", "--seed", "5", "--output", str(tmp_path)]) == 0
+        assert len(calls) == 5 and calls["check_mlg_law"] == (5,)
+        monkeypatch.setattr(cli, "check_rank_calibration", stub("check_rank_calibration", ok=False))
+        assert main(["validate", "--suite", "sbc", "--seed", "7", "--replicates", "123",
+                     "--output", str(tmp_path)]) == 1
+        assert calls["check_rank_calibration"] == (7, 123)
+        report = (tmp_path / "validation_report.txt").read_text()
+        assert "[criterion_04]\ncheck_rank_calibration = FAIL (stub)" in report
+        assert "criterion_01" not in report

@@ -27,7 +27,8 @@ from hetgibbs.gibbs import (
     inverse_gaussian_sample,
     run_gibbs,
 )
-from hetgibbs.mlg import RunCounters, cmlg_sample, log_gamma_sample
+from hetgibbs.mlg import RunCounters, log_gamma_sample
+from hetgibbs.oracle import cmlg_sample
 
 
 def loaded_openblas():
@@ -235,7 +236,7 @@ class TestVarianceBlockLaws:
         assert np.allclose(qs, ig.ppf([0.1, 0.25, 0.5, 0.75, 0.9]), rtol=0.05)
 
     def test_projection_mode_inflates_conditional_variance(self):
-        # the projection recipe (mlg.cmlg_sample) is kept for study: its
+        # the projection recipe (oracle.cmlg_sample) is kept for study: its
         # conditional variance is about trigamma(1/2)/(n trigamma(n/2)) times
         # the exact one
         rng = np.random.default_rng(6)

@@ -10,13 +10,12 @@ from hetgibbs.mlg import (
     ConditioningError,
     MlgParams,
     RunCounters,
-    cmlg_sample,
     log_gamma_sample,
     mlg_gaussian_limit_params,
     mlg_log_density,
     mlg_sample,
 )
-from hetgibbs.oracle import grid_normalize
+from hetgibbs.oracle import cmlg_sample, grid_normalize
 
 
 class TestDensity:

@@ -161,6 +161,10 @@ class TestRankMachinery:
         ranks = np.clip((u * 101).astype(int), 0, 100)
         assert chi_square_uniformity(ranks, n_levels=101) < 1e-3
 
+    def test_fewer_rank_values_than_bins(self):
+        ranks = np.random.default_rng(5).integers(0, 6, size=600)
+        assert np.isfinite(chi_square_uniformity(ranks, n_levels=6))
+
     def test_rank_range_validated(self):
         with pytest.raises(ValueError):
             chi_square_uniformity(np.array([0, 5, 101]), n_levels=101)
