@@ -52,23 +52,21 @@ from .metrics import (
     summarize,
     waic,
 )
-from .mlg import (
-    CmlgParams,
-    ConditioningError,
-    MlgParams,
-    log_gamma_sample,
-    mlg_gaussian_limit_params,
-    mlg_log_density,
-    mlg_sample,
-)
+from .mlg import CmlgParams
 from .oracle import (
+    ConditioningError,
     GridOracle,
+    MlgParams,
     SyntheticShape,
     SyntheticTruth,
     cmlg_sample,
     generate_synthetic,
     grid_normalize,
     laplace_mixture_check,
+    log_gamma_sample,
+    mlg_gaussian_limit_params,
+    mlg_log_density,
+    mlg_sample,
     sbc_run,
 )
 

@@ -290,6 +290,11 @@ def _build_from_config(cfg: dict):
         raise ConfigError("[model] trunc_lower does not apply to ESVM fits; set [esvm] c instead")
     if esvm and _get(cfg, "model", "likelihood", "gaussian") != "gaussian":
         raise ConfigError("[model] likelihood must be gaussian for ESVM fits (the reduction is Gaussian)")
+    for section, key in (("data", "mean_terms"), ("data", "var_terms"), ("data", "coords"),
+                         ("model", "mean_basis_resolutions"), ("model", "var_basis_resolutions")):
+        if esvm and _get(cfg, section, key, None) is not None:
+            raise ConfigError(f"[{section}] {key} does not apply to ESVM fits "
+                              "(the mean is one intercept, the variance design the reservoir)")
     dataset, report = load_csv(data_path)
     dataset = _extract_response(dataset, response)
     config = _gibbs_config(cfg)

@@ -22,8 +22,10 @@ conditional keeps the form exp(c t - sum_i k_i exp((HV)_i t)), log-concave
 as before, so each coordinate draw stays exact.  ``V`` is computed once per
 chain (``RotatedDesign``) from the design alone and never from the chain's
 state, so every scan is a Gibbs update of the exact block conditional and
-the stationary law is unchanged.  A ``hook`` receives the rotated
-conditional, with map ``[M V; c V]``, that the scan draws from.
+the stationary law is unchanged.  The ``fc_*`` updates and the builders of
+their conditionals (``eta2_conditional`` builds the rotated one, with map
+``[M V; c V]``) are module globals looked up per call, so a negative control
+(``oracle.kappa_doubling``) or a tracer can rebind them from outside.
 
 The least-squares projection recipe once offered beside the exact scan
 inflates the conditional variance of these data-augmented maps (about 2.5x
@@ -458,23 +460,17 @@ def _scan_cmlg_exact(
 
 def _scan_rotated(
     rng: np.random.Generator,
-    name: str,
     params: CmlgParams,
     axes: RotatedDesign,
     current: np.ndarray,
-    hook,
 ) -> np.ndarray:
     """Scan ``u = V'b`` from the current ``b`` along the axes; return ``V u``.
 
-    A hook sees, and may replace, the rotated conditional the scan draws
-    from; the cached squares of ``axes`` may then no longer match its map,
-    so they are not used.
+    The envelope seeds use the squares cached in ``axes``.  A rebound
+    builder whose map differed from ``axes.HT`` would only mis-scale those
+    seeds; each draw stays exact.
     """
-    squares = axes.HT2
-    if hook is not None:
-        params = hook(name, params)
-        squares = None
-    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=squares)
+    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=axes.HT2)
     return axes.V @ u
 
 
@@ -483,7 +479,6 @@ def fc_beta2(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    hook=None,
     counters: RunCounters | None = None,
     axes: RotatedDesign | None = None,
 ) -> np.ndarray:
@@ -497,7 +492,7 @@ def fc_beta2(
     if axes is None:
         axes = RotatedDesign(spec.X2)
     params = beta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, "beta2", params, axes, state.beta2, hook)
+    return _scan_rotated(rng, params, axes, state.beta2)
 
 
 def fc_eta2(
@@ -505,7 +500,6 @@ def fc_eta2(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    hook=None,
     counters: RunCounters | None = None,
     axes: RotatedDesign | None = None,
 ) -> np.ndarray:
@@ -518,7 +512,7 @@ def fc_eta2(
     if axes is None:
         axes = RotatedDesign(spec.Psi2)
     params = eta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, "eta2", params, axes, state.eta2, hook)
+    return _scan_rotated(rng, params, axes, state.eta2)
 
 
 def fc_sigma2_eta1(state: ChainState, spec: ModelSpec, rng: np.random.Generator) -> float:
@@ -533,12 +527,9 @@ def fc_inv_sigma_eta2(
     state: ChainState,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    hook=None,
 ) -> float:
     """Truncated scalar cMLG draw of the reciprocal variance-block scale."""
     params = inv_sigma_eta2_conditional(state, hyper)
-    if hook is not None:
-        params = hook("inv_sigma_eta2", params)
     current = np.array([max(1.0 / state.sigma_eta2, hyper.trunc_lower)])
     out = _scan_cmlg_exact(rng, params, current, lower=hyper.trunc_lower)
     return float(out[0])
@@ -620,7 +611,7 @@ def initial_state(spec: ModelSpec, data: Dataset) -> ChainState:
     return state
 
 
-def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed: int, hook=None) -> PosteriorChain:
+def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed: int) -> PosteriorChain:
     rng = np.random.default_rng(seed)
     state = initial_state(spec, data)
     counters = RunCounters()
@@ -648,16 +639,16 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
                 state.eta1 = fc_eta1(state, spec, data, rng, counters)
             if spec.p2:
                 block = "beta2"
-                state.beta2 = fc_beta2(state, spec, data, rng, hook, counters, beta2_axes)
+                state.beta2 = fc_beta2(state, spec, data, rng, counters, beta2_axes)
             if spec.r2:
                 block = "eta2"
-                state.eta2 = fc_eta2(state, spec, data, rng, hook, counters, eta2_axes)
+                state.eta2 = fc_eta2(state, spec, data, rng, counters, eta2_axes)
             if spec.r1:
                 block = "sigma2_eta1"
                 state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
             if spec.r2:
                 block = "inv_sigma_eta2"
-                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, hook)
+                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng)
         except Exception as exc:
             raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
@@ -668,25 +659,22 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
 
 
 def _chain_worker(args):
-    spec, data, config, seed, hook = args
     with single_blas_thread():
-        return _run_single_chain(spec, data, config, seed, hook)
+        return _run_single_chain(*args)
 
 
-def run_gibbs(spec: ModelSpec, data: Dataset, config: GibbsConfig, hook=None) -> list:
+def run_gibbs(spec: ModelSpec, data: Dataset, config: GibbsConfig) -> list:
     """Run the Gibbs sampler; returns one PosteriorChain per configured chain.
 
     Chain c uses seed ``config.seed + c``.  Update order within an
     iteration is fixed: augmentation scales (Laplace mode), mean fixed
     effects, mean random effects, variance fixed effects, variance random
-    effects, mean-side variance component, variance-side scale.
+    effects, mean-side variance component, variance-side scale.  A rebound
+    ``fc_*`` name or builder reaches every chain, also in forked workers.
     """
     if data.n != spec.n:
         raise ValueError(f"dataset has {data.n} rows but the design has {spec.n}")
     if not np.all(np.isfinite(data.y)):
         raise ValueError("response contains non-finite values")
-    jobs = [(spec, data, config, config.seed + c, hook) for c in range(config.chains)]
-    if hook is not None:
-        # local callables do not survive process boundaries
-        return [_chain_worker(j) for j in jobs]
+    jobs = [(spec, data, config, config.seed + c) for c in range(config.chains)]
     return parallel_map(_chain_worker, jobs)

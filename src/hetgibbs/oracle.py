@@ -6,6 +6,9 @@ RNG and quadrature, never on the code they judge.  The experiment drivers
 (rank calibration, synthetic-data generation) exercise the samplers as
 subjects and feed the verdict tools.
 
+The multivariate log-gamma (MLG) law lives here, not in the engine: its
+density, sampler and Gaussian limit are the subjects of criteria 1-2, and
+its sampler draws the variance-side priors of rank calibration.
 ``cmlg_sample``, the cMLG projection recipe, is kept here only as the
 subject of the total-variation study.  The ``check_*`` functions are
 acceptance criteria 1-4 and 6 with their draw counts and bounds; the
@@ -14,26 +17,29 @@ acceptance tests and ``hetgibbs validate`` both run them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 from scipy import stats
 from scipy.integrate import trapezoid
+from scipy.special import gammaln
 
+from . import gibbs
 from .design import Dataset, Hyperparams, ModelSpec
 from .gibbs import GibbsConfig, run_gibbs
-from .mlg import (
-    CmlgParams,
-    MlgParams,
-    log_gamma_sample,
-    mlg_gaussian_limit_params,
-    mlg_log_density,
-    mlg_sample,
-)
+from .mlg import CLAMP_LIMIT, CmlgParams, RunCounters, _as_vector
 from ._parallel import parallel_map
 
 __all__ = [
+    "ConditioningError",
+    "MlgParams",
+    "log_gamma_sample",
+    "mlg_log_density",
+    "mlg_sample",
+    "mlg_gaussian_limit_params",
     "GridOracle",
     "MassEscapeError",
     "grid_normalize",
@@ -50,7 +56,7 @@ __all__ = [
     "invgauss_conditional_check",
     "cmlg_sample",
     "cmlg_scalar_tv",
-    "kappa_doubling_hook",
+    "kappa_doubling",
     "check_mlg_law",
     "check_gaussian_limit",
     "check_projection_tv",
@@ -368,7 +374,7 @@ def _sbc_replicate_safe(args):
 
 
 def _sbc_replicate(args):
-    shape, hyper, n, iterations, burn_in, thin_to, seed, hook = args
+    shape, hyper, n, iterations, burn_in, thin_to, seed = args
     rng = np.random.default_rng(seed)
     cols = _shape_columns(shape, n, rng)
     data = Dataset(y=np.zeros(n), columns=cols)
@@ -385,7 +391,7 @@ def _sbc_replicate(args):
         seed=seed + 1,
         chains=1,
     )
-    chain = run_gibbs(spec, data, config, hook=hook)[0]
+    chain = run_gibbs(spec, data, config)[0]
     names, ranks = [], []
     for block in ("beta1", "beta2", "eta1", "eta2"):
         true, draws = getattr(truth, block), getattr(chain, block)[-thin_to:]
@@ -409,7 +415,6 @@ def sbc_run(
     burn_in: int | None = None,
     thin_to: int = 100,
     seed: int = 0,
-    hook=None,
 ) -> SbcResult:
     """Rank-calibration run: prior draws, synthetic data, refit, rank truth.
 
@@ -423,13 +428,10 @@ def sbc_run(
     if burn_in is None:
         burn_in = max(iterations // 5, 1)
     jobs = [
-        (shape, hyper, n, iterations, burn_in, thin_to, seed + 104729 * (r + 1), hook)
+        (shape, hyper, n, iterations, burn_in, thin_to, seed + 104729 * (r + 1))
         for r in range(replicates)
     ]
-    if hook is not None:
-        outcomes = [_sbc_replicate_safe(job) for job in jobs]
-    else:
-        outcomes = parallel_map(_sbc_replicate_safe, jobs)
+    outcomes = parallel_map(_sbc_replicate_safe, jobs)
     results = [payload for status, payload in outcomes if status == "ok"]
     failures = sum(1 for status, _ in outcomes if status != "ok")
     if not results:
@@ -450,15 +452,180 @@ def sbc_run(
     )
 
 
-def kappa_doubling_hook(block: str = "beta2"):
-    """Deliberate corruption for negative controls: doubles a block's rates."""
+@contextlib.contextmanager
+def kappa_doubling(block: str):
+    """Negative control: double the rates of one block's conditional.
 
-    def hook(name, params):
-        if name == block:
-            return CmlgParams(H=params.H, alpha=params.alpha, kappa=2.0 * params.kappa)
-        return params
+    Rebinds ``gibbs.<block>_conditional`` (``block`` is ``beta2``, ``eta2``
+    or ``inv_sigma_eta2``) for the body of the ``with`` statement, so every
+    chain run there, also in a forked worker process, draws from the
+    corrupted conditional.  The builder is restored on exit.
+    """
+    if block not in ("beta2", "eta2", "inv_sigma_eta2"):
+        raise ValueError(f"no conditional builder for block {block!r}")
+    name = f"{block}_conditional"
+    builder = getattr(gibbs, name)
 
-    return hook
+    def doubled(*args, **kwargs):
+        p = builder(*args, **kwargs)
+        return CmlgParams(H=p.H, alpha=p.alpha, kappa=2.0 * p.kappa, h_checked=True)
+
+    setattr(gibbs, name, doubled)
+    try:
+        yield
+    finally:
+        setattr(gibbs, name, builder)
+
+
+# ---------------------------------------------------------------------------
+# the MLG law: V log(g) + mu for independent g_i ~ Gamma(shape alpha_i, rate kappa_i)
+
+# Reciprocal condition numbers below this make V effectively singular.
+RCOND_FLOOR = 1e-12
+
+
+class ConditioningError(ValueError):
+    """Scale matrix is singular or too ill-conditioned to invert."""
+
+
+@dataclass
+class MlgParams:
+    """Parameters of an MLG law: location, scale matrix, shapes, rates.
+
+    ``V`` must be square and invertible with reciprocal condition number at
+    least 1e-12; ``alpha`` and ``kappa`` must be strictly positive and agree
+    in length with ``mu``.
+    """
+
+    mu: np.ndarray
+    V: np.ndarray
+    alpha: np.ndarray
+    kappa: np.ndarray
+    _lu: tuple = field(default=None, repr=False, compare=False)
+    _logdet_vinv: float = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.mu = _as_vector(self.mu, "mu")
+        self.alpha = _as_vector(self.alpha, "alpha")
+        self.kappa = _as_vector(self.kappa, "kappa")
+        self.V = np.atleast_2d(np.asarray(self.V, dtype=float))
+        n = self.mu.shape[0]
+        if self.V.shape != (n, n):
+            raise ValueError(
+                f"V must be {n}x{n} to match mu; got {self.V.shape}"
+            )
+        if self.alpha.shape[0] != n or self.kappa.shape[0] != n:
+            raise ValueError("alpha and kappa must match the dimension of mu")
+        if not np.all(np.isfinite(self.mu)) or not np.all(np.isfinite(self.V)):
+            raise ValueError("mu and V must be finite")
+        if np.any(self.alpha <= 0.0) or not np.all(np.isfinite(self.alpha)):
+            raise ValueError("alpha must be strictly positive")
+        if np.any(self.kappa <= 0.0) or not np.all(np.isfinite(self.kappa)):
+            raise ValueError("kappa must be strictly positive")
+
+    @property
+    def dim(self) -> int:
+        return self.mu.shape[0]
+
+    def _factorization(self):
+        """Pivoted LU of V with a one-time conditioning check."""
+        if self._lu is None:
+            lu, piv = sla.lu_factor(self.V)
+            diag = np.abs(np.diag(lu))
+            if np.any(diag == 0.0):
+                raise ConditioningError("V is singular")
+            anorm = np.linalg.norm(self.V, 1)
+            gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
+            rcond, _ = gecon(lu, anorm, norm="1")
+            if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+                raise ConditioningError(
+                    f"V has reciprocal condition number {rcond:.3e} "
+                    f"(below {RCOND_FLOOR:.0e})"
+                )
+            logdet = float(np.sum(np.log(diag)))
+            object.__setattr__(self, "_lu", (lu, piv))
+            object.__setattr__(self, "_logdet_vinv", -logdet)
+        return self._lu
+
+    def solve_v(self, rhs: np.ndarray) -> np.ndarray:
+        """V^{-1} rhs via the cached pivoted factorization."""
+        return sla.lu_solve(self._factorization(), rhs)
+
+    @property
+    def logdet_vinv(self) -> float:
+        self._factorization()
+        return self._logdet_vinv
+
+
+def log_gamma_sample(rng: np.random.Generator, shape, rate, size=None):
+    """Log of a Gamma(shape, rate) draw.
+
+    Computed as ``log(standard gamma) - log(rate)`` so that extreme rates
+    cannot underflow the variate before the log is taken.  ``shape`` and
+    ``rate`` broadcast; scalar inputs yield a scalar.
+    """
+    shape = np.asarray(shape, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    if np.any(shape <= 0.0) or np.any(rate <= 0.0):
+        raise ValueError("shape and rate must be strictly positive")
+    if not (np.all(np.isfinite(shape)) and np.all(np.isfinite(rate))):
+        raise ValueError("shape and rate must be finite")
+    g = rng.gamma(shape, 1.0, size=size)
+    out = np.log(g) - np.log(rate)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def mlg_log_density(y, p: MlgParams, counters: RunCounters | None = None) -> float:
+    """Log density of the MLG law at ``y``.
+
+    Exponent arguments are clamped at +700 before exponentiation; clamp
+    events are added to ``counters.exp_clamps`` when one is supplied.
+    """
+    y = _as_vector(y, "y")
+    if y.shape[0] != p.dim:
+        raise ValueError(f"y has length {y.shape[0]}, expected {p.dim}")
+    w = p.solve_v(y - p.mu)
+    clamped = np.minimum(w, CLAMP_LIMIT)
+    if counters is not None:
+        counters.exp_clamps += int(np.count_nonzero(w > CLAMP_LIMIT))
+    val = (
+        p.logdet_vinv
+        + float(np.sum(p.alpha * np.log(p.kappa) - gammaln(p.alpha)))
+        + float(p.alpha @ w)
+        - float(p.kappa @ np.exp(clamped))
+    )
+    return val
+
+
+def mlg_sample(rng: np.random.Generator, p: MlgParams) -> np.ndarray:
+    """One draw from the MLG law: ``V log(g) + mu`` with independent gammas."""
+    g = rng.gamma(p.alpha, 1.0)
+    logg = np.log(g) - np.log(p.kappa)
+    return p.V @ logg + p.mu
+
+
+def mlg_gaussian_limit_params(center, cov_factor, alpha_scalar: float) -> MlgParams:
+    """MLG parameters whose law approaches N(center, cov_factor cov_factor').
+
+    Returns ``MLG(center, sqrt(alpha) * cov_factor, alpha * 1, alpha * 1)``;
+    the approach is in distribution as ``alpha_scalar`` grows.
+    """
+    if not (alpha_scalar > 0.0) or not math.isfinite(alpha_scalar):
+        raise ValueError("alpha_scalar must be a positive finite number")
+    center = _as_vector(center, "center")
+    cov_factor = np.atleast_2d(np.asarray(cov_factor, dtype=float))
+    n = center.shape[0]
+    if cov_factor.shape != (n, n):
+        raise ValueError("cov_factor must be square and match center")
+    ones = np.full(n, float(alpha_scalar))
+    return MlgParams(
+        mu=center,
+        V=math.sqrt(alpha_scalar) * cov_factor,
+        alpha=ones,
+        kappa=ones.copy(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +801,8 @@ def check_rank_calibration(seed: int, replicates: int) -> list:
     res = sbc_run(shape, hyper, replicates=replicates, iterations=600, n=50, seed=seed)
     worst = min(res.p_values.values())
     n_neg = max(3 * replicates // 10, 100)
-    neg = sbc_run(shape, hyper, replicates=n_neg, iterations=600, n=50, seed=seed + 1,
-                  hook=kappa_doubling_hook("beta2"))
+    with kappa_doubling("beta2"):
+        neg = sbc_run(shape, hyper, replicates=n_neg, iterations=600, n=50, seed=seed + 1)
     worst_neg = min(neg.p_values.values())
     text = ", ".join(f"{k} p={v:.3f}" for k, v in res.p_values.items())
     return [

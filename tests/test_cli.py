@@ -261,6 +261,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert line.split()[0] in err and named in err
 
+    @pytest.mark.parametrize("section, line", [("data", "mean_terms = nosuchcol"),
+                                               ("model", "var_basis_resolutions = 3")])
+    def test_esvm_design_key_rejected(self, tmp_path, capsys, section, line):
+        # the reservoir makes the design, so a design key would be ignored;
+        # it is named before the (absent) data file is read
+        cfg = tmp_path / "esvm.ini"
+        body = {"data": f"path = {tmp_path / 'absent.csv'}\nresponse = ret\n", "model": ""}
+        body[section] += f"{line}\n"
+        cfg.write_text(f"[data]\n{body['data']}[esvm]\nenabled = true\n[model]\n{body['model']}")
+        assert main(["fit", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] {line.split()[0]}" in err and "ESVM" in err
+
     def test_time_index_outside_esvm_rejected(self, tmp_path, capsys):
         cfg = simulate_then_fit(tmp_path)
         cfg.write_text(cfg.read_text().replace("var_terms = grp", "var_terms = grp\ntime_index = x"))

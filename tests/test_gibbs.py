@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hetgibbs import gibbs
 from hetgibbs.design import Dataset, Hyperparams, ModelSpec
 from hetgibbs.gibbs import (
     ChainState,
@@ -27,8 +28,8 @@ from hetgibbs.gibbs import (
     inverse_gaussian_sample,
     run_gibbs,
 )
-from hetgibbs.mlg import RunCounters, log_gamma_sample
-from hetgibbs.oracle import cmlg_sample
+from hetgibbs.mlg import RunCounters
+from hetgibbs.oracle import cmlg_sample, log_gamma_sample
 
 
 def loaded_openblas():
@@ -258,7 +259,6 @@ class TestVarianceBlockLaws:
         # the current value's tangent comes from the curvature pass and the
         # two seeds from one Newton step: about 2 + 1.2 calls per draw
         # (5.7 with the five-probe walk from the current value)
-        from hetgibbs import gibbs
         from hetgibbs.oracle import SyntheticShape, generate_synthetic, synthetic_model_spec
 
         counts = {"draws": 0, "calls": 0}
@@ -280,17 +280,22 @@ class TestVarianceBlockLaws:
         assert counts["draws"] == 150 * (2 + 4 + 1)
         assert counts["calls"] / counts["draws"] <= 3.6
 
-    def test_hook_receives_assembled_params(self):
+    def test_hook_receives_assembled_params(self, monkeypatch):
+        # the builder is looked up per call, so a rebinding (a negative
+        # control, a tracer) sees the assembled conditional the scan draws
         seen = []
+        builder = gibbs.beta2_conditional
 
-        def hook(name, params):
-            seen.append((name, params.H.shape))
+        def spy(*args, **kwargs):
+            params = builder(*args, **kwargs)
+            seen.append(params.H.shape)
             return params
 
+        monkeypatch.setattr(gibbs, "beta2_conditional", spy)
         spec = make_spec(np.ones((6, 1)), np.ones((6, 1)))
         data = Dataset(y=np.random.default_rng(0).normal(size=6))
-        fc_beta2(state_for(spec, beta1=[0.0]), spec, data, np.random.default_rng(1), hook=hook)
-        assert seen == [("beta2", (7, 1))]
+        fc_beta2(state_for(spec, beta1=[0.0]), spec, data, np.random.default_rng(1))
+        assert seen == [(7, 1)]
 
 
 class TestRotatedScan:
@@ -406,6 +411,17 @@ class TestLaplaceAugmentation:
         res = stats.kstest(draws, stats.invgauss(mean / lam, scale=lam).cdf)
         assert res.pvalue > 0.01
 
+    def test_inverse_gaussian_law_at_floored_residual(self):
+        # fc_s reaches mean 1e15 when a residual is floored; numpy's
+        # Generator.wald returns about 270 non-positive or infinite draws of
+        # 200,000 here, which is why the package keeps its own sampler
+        rng = np.random.default_rng(0)
+        mean, lam = 1e15, 2.0
+        draws = inverse_gaussian_sample(rng, np.full(200_000, mean), np.full(200_000, lam))
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+        res = stats.kstest(draws, stats.invgauss(mean / lam, scale=lam).cdf)
+        assert res.pvalue > 0.01
+
     def test_fc_s_parameter_plugin(self):
         # (y - mu)^2 = 1 and sigma2 = 2 give mu_s = 1, lam_s = 1
         spec = make_spec(np.ones((1, 1)), np.ones((1, 1)), likelihood="laplace")
@@ -507,16 +523,17 @@ class TestRunGibbs:
                 fc_beta1(st, spec, data, np.random.default_rng(0), counters)
         assert counters.exp_clamps == 6
 
-    def test_error_carries_iteration_index(self):
+    def test_error_carries_iteration_index(self, monkeypatch):
         spec, data = self.small_problem()
 
-        def bad_hook(name, params):
+        def failing(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
+        monkeypatch.setattr(gibbs, "beta2_conditional", failing)
         with pytest.raises(GibbsError, match="iteration 0, block beta2: synthetic failure"):
-            run_gibbs(spec, data, GibbsConfig(iterations=10, burn_in=2, seed=0), hook=bad_hook)
+            run_gibbs(spec, data, GibbsConfig(iterations=10, burn_in=2, seed=0))
 
-    def test_chain_pins_blas_to_one_thread_and_restores(self):
+    def test_chain_pins_blas_to_one_thread_and_restores(self, monkeypatch):
         libs = loaded_openblas()
         if not libs:
             pytest.skip("no OpenBLAS loaded")
@@ -525,23 +542,26 @@ class TestRunGibbs:
         counts = lambda: [get() for get, _ in libs]  # noqa: E731
         saved = counts()
         seen = []
+        builder = gibbs.beta2_conditional
 
-        def spy(name, params):
+        def spy(*args, **kwargs):
             seen.append(counts())
-            return params
+            return builder(*args, **kwargs)
 
-        def failing(name, params):
+        def failing(*args, **kwargs):
             raise GibbsError("synthetic failure")
 
         try:
             for _, set_ in libs:
                 set_(2)  # more than one thread even on a one-core machine
             before = counts()
-            run_gibbs(spec, data, cfg, hook=spy)
+            monkeypatch.setattr(gibbs, "beta2_conditional", spy)
+            run_gibbs(spec, data, cfg)
             assert seen and all(c == [1] * len(libs) for c in seen)
             assert counts() == before
+            monkeypatch.setattr(gibbs, "beta2_conditional", failing)
             with pytest.raises(GibbsError, match="synthetic failure"):
-                run_gibbs(spec, data, cfg, hook=failing)
+                run_gibbs(spec, data, cfg)
             assert counts() == before
         finally:
             for (_, set_), n in zip(libs, saved):

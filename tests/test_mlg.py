@@ -5,17 +5,17 @@ import pytest
 from scipy import stats
 from scipy.special import digamma, polygamma
 
-from hetgibbs.mlg import (
-    CmlgParams,
+from hetgibbs.mlg import CmlgParams, RunCounters
+from hetgibbs.oracle import (
     ConditioningError,
     MlgParams,
-    RunCounters,
+    cmlg_sample,
+    grid_normalize,
     log_gamma_sample,
     mlg_gaussian_limit_params,
     mlg_log_density,
     mlg_sample,
 )
-from hetgibbs.oracle import cmlg_sample, grid_normalize
 
 
 class TestDensity:

@@ -1,10 +1,13 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from hetgibbs import gibbs
 from hetgibbs.design import Hyperparams
+from hetgibbs.gibbs import ChainState
 from hetgibbs.oracle import (
     GridOracle,
     MassEscapeError,
@@ -16,7 +19,7 @@ from hetgibbs.oracle import (
     generate_synthetic,
     grid_normalize,
     invgauss_conditional_check,
-    kappa_doubling_hook,
+    kappa_doubling,
     laplace_mixture_check,
     sbc_run,
     synthetic_model_spec,
@@ -170,14 +173,37 @@ class TestRankMachinery:
             chi_square_uniformity(np.array([0, 5, 101]), n_levels=101)
 
     def test_sbc_ranks_independent_of_worker_count(self, monkeypatch):
+        # also under a negative control: worker processes forked inside
+        # kappa_doubling draw from the rebound builder, as the serial run does
         shape = SyntheticShape(p1=1, p2=1, r1=1, r2=2)
-        runs = []
-        for workers in ("1", "2"):
+
+        def run(workers, control):
             monkeypatch.setenv("HETGIBBS_THREADS", workers)
-            runs.append(sbc_run(shape, Hyperparams(), replicates=100, iterations=30, n=15,
-                                thin_to=20, seed=730))
-        assert runs[0].param_names == runs[1].param_names
-        assert np.array_equal(runs[0].ranks, runs[1].ranks)
+            with kappa_doubling("eta2") if control else contextlib.nullcontext():
+                return sbc_run(shape, Hyperparams(), replicates=100, iterations=30, n=15,
+                               thin_to=20, seed=730)
+
+        plain = [run(workers, False) for workers in ("1", "2")]
+        doubled = [run(workers, True) for workers in ("1", "2")]
+        assert plain[0].param_names == plain[1].param_names == doubled[1].param_names
+        assert np.array_equal(plain[0].ranks, plain[1].ranks)
+        assert np.array_equal(doubled[0].ranks, doubled[1].ranks)
+        assert not np.array_equal(plain[1].ranks, doubled[1].ranks)
+
+    def test_kappa_doubling_rebinds_and_restores_builder(self):
+        state = ChainState(beta1=np.zeros(1), eta1=np.empty(0), beta2=np.zeros(1),
+                           eta2=np.array([0.3, -0.2]), sigma2_eta1=1.0, sigma_eta2=0.2)
+        hyper = Hyperparams()
+        builder = gibbs.inv_sigma_eta2_conditional
+        with pytest.raises(RuntimeError, match="inside"):
+            with kappa_doubling("inv_sigma_eta2"):
+                doubled = gibbs.inv_sigma_eta2_conditional(state, hyper)
+                raise RuntimeError("inside")
+        assert gibbs.inv_sigma_eta2_conditional is builder
+        assert np.array_equal(doubled.kappa, 2.0 * builder(state, hyper).kappa)
+        with pytest.raises(ValueError, match="sigma2_eta1"):
+            with kappa_doubling("sigma2_eta1"):
+                pass
 
 
 class TestSbcVarianceRandomEffects:
@@ -197,10 +223,17 @@ class TestSbcVarianceRandomEffects:
         assert {"eta1_2", "eta2_3", "sigma2_eta1", "sigma_eta2"} <= res.p_values.keys()
         assert min(res.p_values.values()) > 0.005, res.p_values
 
-    def test_eta2_kappa_doubling_control_fails(self):
-        res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=701,
-                      hook=kappa_doubling_hook("eta2"))
+    def test_eta2_kappa_doubling_control_fails(self, monkeypatch):
+        monkeypatch.setenv("HETGIBBS_THREADS", "2")
+        with kappa_doubling("eta2"):
+            res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=701)
         assert min(res.p_values[f"eta2_{j}"] for j in (1, 2, 3)) < 1e-3
+
+    def test_inv_sigma_eta2_kappa_doubling_control_fails(self, monkeypatch):
+        monkeypatch.setenv("HETGIBBS_THREADS", "2")
+        with kappa_doubling("inv_sigma_eta2"):
+            res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=701)
+        assert res.p_values["sigma_eta2"] < 1e-3
 
 
 class TestSbcCollinearLaplace:
@@ -219,9 +252,10 @@ class TestSbcCollinearLaplace:
         assert {"eta2_3", "sigma_eta2"} <= res.p_values.keys()
         assert min(res.p_values.values()) > 0.005, res.p_values
 
-    def test_eta2_kappa_doubling_control_fails(self):
-        res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=721,
-                      hook=kappa_doubling_hook("eta2"))
+    def test_eta2_kappa_doubling_control_fails(self, monkeypatch):
+        monkeypatch.setenv("HETGIBBS_THREADS", "2")
+        with kappa_doubling("eta2"):
+            res = sbc_run(self.SHAPE, self.HYPER, replicates=100, iterations=200, n=50, seed=721)
         assert min(res.p_values[f"eta2_{j}"] for j in (1, 2, 3)) < 1e-3
 
 
