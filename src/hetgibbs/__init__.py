@@ -27,6 +27,7 @@ from .esn import (
 )
 from .gibbs import (
     ChainState,
+    CmlgParams,
     GibbsConfig,
     GibbsError,
     PosteriorChain,
@@ -51,23 +52,6 @@ from .metrics import (
     msev,
     summarize,
     waic,
-)
-from .mlg import CmlgParams
-from .oracle import (
-    ConditioningError,
-    GridOracle,
-    MlgParams,
-    SyntheticShape,
-    SyntheticTruth,
-    cmlg_sample,
-    generate_synthetic,
-    grid_normalize,
-    laplace_mixture_check,
-    log_gamma_sample,
-    mlg_gaussian_limit_params,
-    mlg_log_density,
-    mlg_sample,
-    sbc_run,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +30,6 @@ from .metrics import (
     predict_posterior_means,
     summarize,
     waic,
-)
-from .oracle import (
-    SyntheticShape,
-    check_gaussian_limit,
-    check_laplace_augmentation,
-    check_mlg_law,
-    check_projection_tv,
-    check_rank_calibration,
-    generate_synthetic,
 )
 from .persist import (
     format_float,
@@ -162,8 +153,9 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
     Columns whose non-empty cells all parse as numbers become float columns
     (empty cells become NaN); everything else becomes categorical (empty
     cells become missing).  A row of empty cells is a row of missing values;
-    only blank lines are skipped.  Ragged rows and header-only files are
-    errors.
+    lines starting with ``#`` before the header (provenance comments) and
+    blank lines are skipped.  Ragged rows, reported by their line in the
+    file, and header-only files are errors.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -177,14 +169,12 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
         if header is None:
             raise ValueError(f"{path} is empty")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
-                continue
-            if row[0].lstrip().startswith("#"):
                 continue
             if len(row) != len(header):
                 raise ValueError(
-                    f"{path}: ragged row at line {lineno} "
+                    f"{path}: ragged row at line {reader.line_num} "
                     f"({len(row)} fields, expected {len(header)})"
                 )
             rows.append(row)
@@ -223,25 +213,6 @@ def _resolved_flat(cfg: dict) -> dict:
                 val = ",".join(str(v) for v in val)
             flat[f"{section}.{key}"] = val
     return flat
-
-
-def _hyper_from_config(cfg: dict) -> Hyperparams:
-    kwargs = {}
-    for key in ("sigma2_beta1", "sigma2_beta2", "alpha", "a", "b", "omega", "rho", "trunc_lower"):
-        val = _get(cfg, "model", key, None)
-        if val is not None:
-            kwargs[key] = val
-    return Hyperparams(**kwargs)
-
-
-def _gibbs_config(cfg: dict) -> GibbsConfig:
-    return GibbsConfig(
-        iterations=_get(cfg, "sampler", "iterations", 5000),
-        burn_in=_get(cfg, "sampler", "burn_in", 1000),
-        thin=_get(cfg, "sampler", "thin", 1),
-        seed=_get(cfg, "sampler", "seed", 0),
-        chains=_get(cfg, "sampler", "chains", 1),
-    )
 
 
 def _extract_response(dataset: Dataset, response: str) -> Dataset:
@@ -297,8 +268,9 @@ def _build_from_config(cfg: dict):
                               "(the mean is one intercept, the variance design the reservoir)")
     dataset, report = load_csv(data_path)
     dataset = _extract_response(dataset, response)
-    config = _gibbs_config(cfg)
-    hyper = _hyper_from_config(cfg)
+    config = GibbsConfig(**cfg.get("sampler", {}))
+    hyper_keys = {f.name for f in fields(Hyperparams)}
+    hyper = Hyperparams(**{k: v for k, v in cfg.get("model", {}).items() if k in hyper_keys})
     file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
 
     if esvm:
@@ -356,7 +328,7 @@ def _build_from_config(cfg: dict):
     coord_names = _get(cfg, "data", "coords", [])
     if coord_names:
         dataset = _attach_coords(dataset, coord_names)
-    referenced = list(dict.fromkeys(mean_terms + var_terms))
+    referenced = list(dict.fromkeys(mean_terms + var_terms + coord_names))
     file_row = file_row[dataset.complete_cases(referenced)]
     dataset, dropped = dataset.drop_missing(referenced)
     report["dropped_rows"] = dropped
@@ -478,11 +450,13 @@ def cmd_validate(suite: str, seed: int, out_dir: str, replicates: int = 150) -> 
 
     ``mlg`` runs criteria 1-3, ``laplace`` 6, ``sbc`` 4 over ``replicates`` replicates.
     """
+    from . import oracle
+
     suites = {
-        "mlg": {1: lambda: check_mlg_law(seed), 2: lambda: check_gaussian_limit(seed),
-                3: lambda: check_projection_tv(seed)},
-        "laplace": {6: lambda: check_laplace_augmentation(seed)},
-        "sbc": {4: lambda: check_rank_calibration(seed, replicates)},
+        "mlg": {1: lambda: oracle.check_mlg_law(seed), 2: lambda: oracle.check_gaussian_limit(seed),
+                3: lambda: oracle.check_projection_tv(seed)},
+        "laplace": {6: lambda: oracle.check_laplace_augmentation(seed)},
+        "sbc": {4: lambda: oracle.check_rank_calibration(seed, replicates)},
     }
     if suite not in (*suites, "all"):
         print(f"error: unknown suite {suite!r}; choose from {(*suites, 'all')}", file=sys.stderr)
@@ -504,8 +478,10 @@ def cmd_validate(suite: str, seed: int, out_dir: str, replicates: int = 150) -> 
 
 def cmd_simulate(cfg: dict) -> int:
     """Write a synthetic dataset CSV plus the generating truth."""
+    from . import oracle
+
     out = _out_dir(cfg)
-    shape = SyntheticShape(
+    shape = oracle.SyntheticShape(
         p1=_get(cfg, "simulate", "p1", 2),
         p2=_get(cfg, "simulate", "p2", 2),
         r1=_get(cfg, "simulate", "r1", 0),
@@ -514,7 +490,7 @@ def cmd_simulate(cfg: dict) -> int:
     )
     seed = _get(cfg, "simulate", "truth_seed", _get(cfg, "sampler", "seed", 0))
     n = _get(cfg, "simulate", "n", 500)
-    data, truth = generate_synthetic(shape, seed=seed, n=n)
+    data, truth = oracle.generate_synthetic(shape, seed=seed, n=n)
     names = ["y"] + list(data.columns)
     cols = [data.y] + [data.columns[k] for k in data.columns]
     resolved = _resolved_flat(cfg)

@@ -6,17 +6,21 @@ treatment-coded indicators (alphabetical reference level); continuous
 columns are centered and scaled to unit standard deviation, with the scaling
 constants persisted so raw values are recoverable.  An intercept column is
 always prepended to both fixed-effect blocks.
+
+``RunCounters`` and ``CLAMP_LIMIT`` live here beside ``ModelSpec.variance``,
+which clamps and counts; the sampler and the oracle's MLG density count
+their repairs into the same type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .mlg import CLAMP_LIMIT, RunCounters
-
 __all__ = [
+    "CLAMP_LIMIT",
+    "RunCounters",
     "Hyperparams",
     "Dataset",
     "BasisConfig",
@@ -26,6 +30,21 @@ __all__ = [
     "bisquare_basis",
     "multiresolution_grid",
 ]
+
+# Exponent ceiling applied inside density evaluation before exponentiation.
+# Saturation is counted, never silent.
+CLAMP_LIMIT = 700.0
+
+
+@dataclass
+class RunCounters:
+    """Observable numerical events accumulated during one chain."""
+
+    jitter_repairs: int = 0
+    exp_clamps: int = 0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -343,6 +362,8 @@ def multiresolution_grid(coords, resolutions) -> tuple[np.ndarray, np.ndarray]:
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.size == 0:
         raise ValueError("coords is empty")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coords must be finite")
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

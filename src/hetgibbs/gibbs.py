@@ -32,24 +32,29 @@ inflates the conditional variance of these data-augmented maps (about 2.5x
 for an intercept-only variance block); it survives only as
 ``oracle.cmlg_sample``, the subject of the total-variation study in
 ``oracle.cmlg_scalar_tv``.
+
+``CmlgParams`` is the form every variance-side builder returns: a cMLG
+density proportional to ``exp(alpha' H x - kappa' exp(H x))`` for a tall map
+``H``.  The MLG law itself lives in ``hetgibbs.oracle``, which the sampler
+never imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
 
-from .design import Dataset, Hyperparams, ModelSpec
+from .design import CLAMP_LIMIT, Dataset, Hyperparams, ModelSpec, RunCounters
 from .logconcave import sample_logconcave
-from .mlg import CLAMP_LIMIT, CmlgParams, RunCounters
 from ._parallel import parallel_map, single_blas_thread
 
 __all__ = [
     "BLOCKS",
     "ChainState",
+    "CmlgParams",
     "GibbsConfig",
     "PosteriorChain",
     "RotatedDesign",
@@ -82,6 +87,53 @@ BLOCKS = ("beta1", "eta1", "beta2", "eta2", "sigma2_eta1", "sigma_eta2", "s")
 
 class GibbsError(RuntimeError):
     """A conditional update failed; names the iteration and the block."""
+
+
+def _as_vector(x, name: str) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return v
+
+
+@dataclass
+class CmlgParams:
+    """Parameters of a conditional MLG: tall linear map, shapes, rates.
+
+    Any location offset is assumed absorbed into ``kappa`` (the form in
+    which every model conditional arrives), so no separate offset is kept.
+    ``H`` must have at least as many rows as columns; full column rank is
+    verified where it is available for free (``oracle.cmlg_sample``'s solve).
+    ``h_checked=True`` skips the pass that checks ``H`` is finite, for a
+    builder that has already checked every entry it writes into ``H``.
+    """
+
+    H: np.ndarray
+    alpha: np.ndarray
+    kappa: np.ndarray
+    h_checked: InitVar[bool] = False
+
+    def __post_init__(self, h_checked):
+        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        if self.H.ndim != 2:
+            raise ValueError("H must be a matrix")
+        self.alpha = _as_vector(self.alpha, "alpha")
+        self.kappa = _as_vector(self.kappa, "kappa")
+        m, r = self.H.shape
+        if m < r:
+            raise ValueError(f"H must have at least as many rows as columns; got {m}x{r}")
+        if r < 1:
+            raise ValueError("H must have at least one column")
+        if self.alpha.shape[0] != m or self.kappa.shape[0] != m:
+            raise ValueError("alpha and kappa must have one entry per row of H")
+        if np.any(self.alpha <= 0.0) or np.any(self.kappa <= 0.0):
+            raise ValueError("alpha and kappa must be strictly positive")
+        if not h_checked and not np.all(np.isfinite(self.H)):
+            raise ValueError("H must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.H.shape[1]
 
 
 @dataclass

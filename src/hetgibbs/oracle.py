@@ -13,6 +13,10 @@ its sampler draws the variance-side priors of rank calibration.
 subject of the total-variation study.  The ``check_*`` functions are
 acceptance criteria 1-4 and 6 with their draw counts and bounds; the
 acceptance tests and ``hetgibbs validate`` both run them.
+
+Nothing in the engine imports this module, and the command line loads it
+only for ``validate`` and ``simulate``; it takes ``CmlgParams`` from
+``gibbs`` and ``RunCounters`` and ``CLAMP_LIMIT`` from ``design``.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from scipy.integrate import trapezoid
 from scipy.special import gammaln
 
 from . import gibbs
-from .design import Dataset, Hyperparams, ModelSpec
-from .gibbs import GibbsConfig, run_gibbs
-from .mlg import CLAMP_LIMIT, CmlgParams, RunCounters, _as_vector
+from .design import CLAMP_LIMIT, Dataset, Hyperparams, ModelSpec, RunCounters
+from .gibbs import CmlgParams, GibbsConfig, _as_vector, run_gibbs
 from ._parallel import parallel_map
 
 __all__ = [

@@ -1,19 +1,24 @@
-"""The benchmark's tracer must find every name it rebinds.
+"""The benchmark must find every module it loads and every name it rebinds.
 
 ``bench/tracing.py`` times the program from outside by rebinding module
 attributes of ``hetgibbs`` (``SETUP_TARGETS``, ``GIBBS_TARGETS``,
 ``POST_TARGETS`` and ``gibbs.sample_logconcave``) with a plain ``getattr``.
 A rename in the package would break ``run_bench.py --trace 1``; this test
 makes it fail here first.  The tracer is imported by path and not edited.
+``bench/run_bench.py`` imports each name in its ``MODULES`` as
+``hetgibbs.<name>``; that tuple is read from the file's source, so a moved
+module fails here too.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -33,3 +38,16 @@ def traced_names():
 def test_traced_name_resolves(mod, attr):
     module = importlib.import_module(f"hetgibbs.{mod}")
     assert callable(getattr(module, attr, None)), f"hetgibbs.{mod}.{attr} is gone"
+
+
+def bench_modules():
+    tree = ast.parse((BENCH / "run_bench.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "MODULES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run_bench.py defines no MODULES")
+
+
+@pytest.mark.parametrize("mod", bench_modules())
+def test_bench_module_imports(mod):
+    importlib.import_module(f"hetgibbs.{mod}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetgibbs import cli
+from hetgibbs import cli, oracle
 from hetgibbs.cli import ConfigError, cmd_validate, load_config, load_csv, main
 from hetgibbs.design import Dataset
 from hetgibbs.gibbs import GibbsConfig, run_gibbs
@@ -58,6 +58,19 @@ class TestLoadCsv:
         assert np.isnan(data.columns["y"][1]) and np.isnan(data.columns["x"][1])
         kept, dropped = Dataset(y=data.columns["y"], columns=data.columns).drop_missing(["x"])
         assert dropped == 1 and kept.n == 2
+
+    def test_hash_value_after_header_is_data(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, "c,y", ["a,1", "#2,2", "a,3"])
+        data, report = load_csv(str(p))
+        assert report["rows"] == 3
+        assert list(data.columns["c"]) == ["a", "#2", "a"]
+
+    def test_ragged_row_names_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("# provenance\n# more provenance\ny,x\n1,2\n3\n")
+        with pytest.raises(ValueError, match="ragged row at line 5 "):
+            load_csv(str(p))
 
 
 class TestConfig:
@@ -274,6 +287,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"[{section}] {line.split()[0]}" in err and "ESVM" in err
 
+    @pytest.mark.parametrize("side", ["mean", "var"])
+    def test_missing_coordinate_row_dropped(self, tmp_path, side):
+        # an empty lon used to leave every bisquare column zero
+        rng = np.random.default_rng(4)
+        n = 60
+        lon, lat, y = rng.uniform(size=n).astype(str), rng.uniform(size=n), rng.normal(size=n)
+        lon[7] = ""
+        data_csv = tmp_path / "sp.csv"
+        write_csv(data_csv, "y,lon,lat", [f"{a},{b},{c}" for a, b, c in zip(y, lon, lat)])
+        cfg = load_config(None)
+        cfg["data"].update(path=str(data_csv), response="y", coords=["lon", "lat"])
+        cfg["model"][f"{side}_basis_resolutions"] = [2]
+        spec, data, _, report, rows = cli._build_from_config(cfg)
+        psi = spec.Psi1 if side == "mean" else spec.Psi2
+        assert report["dropped_rows"] == 1 and data.n == n - 1 and 8 not in rows
+        assert psi.shape == (n - 1, 4) and np.count_nonzero(psi.sum(axis=1)) == n - 1
+
     def test_time_index_outside_esvm_rejected(self, tmp_path, capsys):
         cfg = simulate_then_fit(tmp_path)
         cfg.write_text(cfg.read_text().replace("var_terms = grp", "var_terms = grp\ntime_index = x"))
@@ -347,10 +377,10 @@ class TestCommands:
 
         for name in ("check_mlg_law", "check_gaussian_limit", "check_projection_tv",
                      "check_laplace_augmentation", "check_rank_calibration"):
-            monkeypatch.setattr(cli, name, stub(name))
+            monkeypatch.setattr(oracle, name, stub(name))
         assert main(["validate", "--seed", "5", "--output", str(tmp_path)]) == 0
         assert len(calls) == 5 and calls["check_mlg_law"] == (5,)
-        monkeypatch.setattr(cli, "check_rank_calibration", stub("check_rank_calibration", ok=False))
+        monkeypatch.setattr(oracle, "check_rank_calibration", stub("check_rank_calibration", ok=False))
         assert main(["validate", "--suite", "sbc", "--seed", "7", "--replicates", "123",
                      "--output", str(tmp_path)]) == 1
         assert calls["check_rank_calibration"] == (7, 123)

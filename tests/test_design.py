@@ -219,3 +219,8 @@ class TestMultiresolutionGrid:
     def test_empty_coords_rejected(self):
         with pytest.raises(ValueError):
             multiresolution_grid(np.empty((0, 2)), [2])
+
+    def test_nonfinite_coords_rejected(self):
+        coords = np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            multiresolution_grid(coords, [2])

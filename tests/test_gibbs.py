@@ -28,7 +28,7 @@ from hetgibbs.gibbs import (
     inverse_gaussian_sample,
     run_gibbs,
 )
-from hetgibbs.mlg import RunCounters
+from hetgibbs.design import RunCounters
 from hetgibbs.oracle import cmlg_sample, log_gamma_sample
 
 

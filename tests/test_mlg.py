@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 from scipy.special import digamma, polygamma
 
-from hetgibbs.mlg import CmlgParams, RunCounters
+from hetgibbs.design import RunCounters
+from hetgibbs.gibbs import CmlgParams
 from hetgibbs.oracle import (
     ConditioningError,
     MlgParams,
