@@ -38,10 +38,17 @@ CLAMP_LIMIT = 700.0
 
 @dataclass
 class RunCounters:
-    """Observable numerical events accumulated during one chain."""
+    """Observable numerical events and scan work accumulated during one chain.
+
+    ``scan_draws`` counts the exact coordinate draws of the cMLG scans and
+    ``scan_evals`` the log-density evaluations they made, not counting the
+    pass at each coordinate's current value.
+    """
 
     jitter_repairs: int = 0
     exp_clamps: int = 0
+    scan_draws: int = 0
+    scan_evals: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -342,6 +349,8 @@ def bisquare_basis(coords, centers, radii) -> np.ndarray:
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coords must be finite")
     if np.any(radii <= 0.0):
         raise ValueError("radii must be strictly positive")
     if centers.shape[0] != radii.shape[0]:

@@ -10,7 +10,9 @@ augmentation scales.
 Each cMLG conditional is drawn by a systematic scan of the block's
 one-dimensional coordinate conditionals, each drawn exactly by adaptive
 rejection sampling (they are log-concave), so the chain's stationary
-distribution is the exact posterior.
+distribution is the exact posterior.  The whole scan is one call into a
+small C kernel (``_scan``), compiled on the first scan; its Python twin,
+``oracle.scan_cmlg_reference``, is the reference it is tested against.
 
 The beta2 and eta2 blocks are scanned along the principal axes of their
 designs: with ``V`` the eigenvectors of ``M'M`` (``M`` is ``X2`` or
@@ -47,8 +49,12 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
+from . import _scan
 from .design import CLAMP_LIMIT, Dataset, Hyperparams, ModelSpec, RunCounters
-from .logconcave import sample_logconcave
+# no longer called here: the benchmark's tracer rebinds gibbs.sample_logconcave
+# and tests/test_bench_contract.py checks that the name resolves, until the
+# program reports its own scan counts to it (ROADMAP item 4)
+from .logconcave import sample_logconcave  # noqa: F401
 from ._parallel import parallel_map, single_blas_thread
 
 __all__ = [
@@ -458,15 +464,13 @@ def inv_sigma_eta2_conditional(state: ChainState, hyper: Hyperparams) -> CmlgPar
     return CmlgParams(H=H, alpha=a, kappa=kap)
 
 
-# exp overflows to inf far in a coordinate's tails, where fg reports a -inf
-# log density; the flag is set once per scan, not once per evaluation
-@np.errstate(over="ignore")
 def _scan_cmlg_exact(
     rng: np.random.Generator,
     params: CmlgParams,
     x0: np.ndarray,
     lower: float = -math.inf,
     squares: np.ndarray | None = None,
+    counters: RunCounters | None = None,
 ) -> np.ndarray:
     """One systematic scan of exact coordinate draws from a cMLG density.
 
@@ -475,39 +479,12 @@ def _scan_cmlg_exact(
     adaptive rejection sampling warm-started at the current value, whose
     log density, slope and curvature come from one pass over the rows.
     ``squares``, when given, is ``H' * H'``, already computed by the caller.
+    The whole scan is one call into the compiled kernel (``_scan``);
+    ``oracle.scan_cmlg_reference`` is the same scan in Python.
     """
     HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
     HT2 = HT * HT if squares is None else squares
-    a = params.alpha
-    x = np.array(x0, dtype=float).reshape(-1)
-    logk = np.log(params.kappa)
-    zeta = x @ HT
-    lin = HT @ a
-    exp, add_reduce = np.exp, np.add.reduce
-    for j in range(x.shape[0]):
-        hj = HT[j]
-        t0 = float(x[j])
-        lam = logk + zeta - hj * t0
-        cj = float(lin[j])
-
-        def fg(t, lam=lam, hj=hj, cj=cj):
-            e = exp(lam + hj * t)
-            ssum = float(add_reduce(e))
-            if not math.isfinite(ssum):
-                return -math.inf, -math.inf
-            return cj * t - ssum, cj - float(e @ hj)
-
-        e0 = exp(lam + hj * t0)
-        s0 = float(add_reduce(e0))
-        curv = float(e0 @ HT2[j])
-        scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
-        first = (cj * t0 - s0, cj - float(e0 @ hj)) if math.isfinite(s0) else None
-        t_new = sample_logconcave(
-            rng, fg, lower=lower, x0=t0, scale=min(scale, 1e3), first=first
-        )
-        zeta += hj * (t_new - t0)
-        x[j] = t_new
-    return x
+    return _scan.scan_cmlg(rng, HT, HT2, params.alpha, params.kappa, x0, lower, counters)
 
 
 def _scan_rotated(
@@ -515,6 +492,7 @@ def _scan_rotated(
     params: CmlgParams,
     axes: RotatedDesign,
     current: np.ndarray,
+    counters: RunCounters | None,
 ) -> np.ndarray:
     """Scan ``u = V'b`` from the current ``b`` along the axes; return ``V u``.
 
@@ -522,7 +500,7 @@ def _scan_rotated(
     builder whose map differed from ``axes.HT`` would only mis-scale those
     seeds; each draw stays exact.
     """
-    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=axes.HT2)
+    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=axes.HT2, counters=counters)
     return axes.V @ u
 
 
@@ -544,7 +522,7 @@ def fc_beta2(
     if axes is None:
         axes = RotatedDesign(spec.X2)
     params = beta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, params, axes, state.beta2)
+    return _scan_rotated(rng, params, axes, state.beta2, counters)
 
 
 def fc_eta2(
@@ -564,7 +542,7 @@ def fc_eta2(
     if axes is None:
         axes = RotatedDesign(spec.Psi2)
     params = eta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, params, axes, state.eta2)
+    return _scan_rotated(rng, params, axes, state.eta2, counters)
 
 
 def fc_sigma2_eta1(state: ChainState, spec: ModelSpec, rng: np.random.Generator) -> float:
@@ -579,11 +557,12 @@ def fc_inv_sigma_eta2(
     state: ChainState,
     hyper: Hyperparams,
     rng: np.random.Generator,
+    counters: RunCounters | None = None,
 ) -> float:
     """Truncated scalar cMLG draw of the reciprocal variance-block scale."""
     params = inv_sigma_eta2_conditional(state, hyper)
     current = np.array([max(1.0 / state.sigma_eta2, hyper.trunc_lower)])
-    out = _scan_cmlg_exact(rng, params, current, lower=hyper.trunc_lower)
+    out = _scan_cmlg_exact(rng, params, current, lower=hyper.trunc_lower, counters=counters)
     return float(out[0])
 
 
@@ -700,7 +679,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
                 state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
             if spec.r2:
                 block = "inv_sigma_eta2"
-                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng)
+                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, counters)
         except Exception as exc:
             raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:

@@ -10,7 +10,9 @@ The multivariate log-gamma (MLG) law lives here, not in the engine: its
 density, sampler and Gaussian limit are the subjects of criteria 1-2, and
 its sampler draws the variance-side priors of rank calibration.
 ``cmlg_sample``, the cMLG projection recipe, is kept here only as the
-subject of the total-variation study.  The ``check_*`` functions are
+subject of the total-variation study, and ``scan_cmlg_reference``, the
+engine's coordinate scan in Python, only as the reference that the compiled
+scan is tested against.  The ``check_*`` functions are
 acceptance criteria 1-4 and 6 with their draw counts and bounds; the
 acceptance tests and ``hetgibbs validate`` both run them.
 
@@ -34,6 +36,7 @@ from scipy.special import gammaln
 from . import gibbs
 from .design import CLAMP_LIMIT, Dataset, Hyperparams, ModelSpec, RunCounters
 from .gibbs import CmlgParams, GibbsConfig, _as_vector, run_gibbs
+from .logconcave import sample_logconcave
 from ._parallel import parallel_map
 
 __all__ = [
@@ -59,6 +62,7 @@ __all__ = [
     "invgauss_conditional_check",
     "cmlg_sample",
     "cmlg_scalar_tv",
+    "scan_cmlg_reference",
     "kappa_doubling",
     "check_mlg_law",
     "check_gaussian_limit",
@@ -698,6 +702,60 @@ def cmlg_sample(rng: np.random.Generator, c: CmlgParams) -> np.ndarray:
             f"H is rank-deficient: rank {rank} for {c.dim} columns"
         )
     return sol
+
+
+# exp overflows to inf far in a coordinate's tails, where fg reports a -inf
+# log density; the flag is set once per scan, not once per evaluation
+@np.errstate(over="ignore")
+def scan_cmlg_reference(
+    rng: np.random.Generator,
+    params: CmlgParams,
+    x0: np.ndarray,
+    lower: float = -math.inf,
+    squares: np.ndarray | None = None,
+) -> np.ndarray:
+    """The engine's exact cMLG coordinate scan, written in Python.
+
+    The reference that the compiled scan (``gibbs._scan_cmlg_exact``) is
+    checked against: the same envelope algorithm
+    (``logconcave.sample_logconcave``), taking the same uniforms from
+    ``rng`` in the same order, so the two differ only by the rounding of
+    their sums and exponentials.  Each coordinate's conditional is
+    proportional to exp(c_j t - sum_i u_i exp(H_ij t)); the current value's
+    log density, slope and curvature come from one pass over the rows.
+    """
+    HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
+    HT2 = HT * HT if squares is None else squares
+    a = params.alpha
+    x = np.array(x0, dtype=float).reshape(-1)
+    logk = np.log(params.kappa)
+    zeta = x @ HT
+    lin = HT @ a
+    exp, add_reduce = np.exp, np.add.reduce
+    for j in range(x.shape[0]):
+        hj = HT[j]
+        t0 = float(x[j])
+        lam = logk + zeta - hj * t0
+        cj = float(lin[j])
+
+        def fg(t, lam=lam, hj=hj, cj=cj):
+            e = exp(lam + hj * t)
+            ssum = float(add_reduce(e))
+            if not math.isfinite(ssum):
+                return -math.inf, -math.inf
+            return cj * t - ssum, cj - float(e @ hj)
+
+        e0 = exp(lam + hj * t0)
+        s0 = float(add_reduce(e0))
+        curv = float(e0 @ HT2[j])
+        scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
+        first = (cj * t0 - s0, cj - float(e0 @ hj)) if math.isfinite(s0) else None
+        t_new = sample_logconcave(
+            rng, fg, lower=lower, x0=t0, scale=min(scale, 1e3), first=first
+        )
+        zeta += hj * (t_new - t0)
+        x[j] = t_new
+    return x
 
 
 def cmlg_scalar_tv(

@@ -165,11 +165,12 @@ class TestCommands:
         assert "dic" in meta and "waic" in meta and "msev_insample" in meta
         section = meta.split("[counters]\n")[1].split("\n\n")[0]
         counters = dict(line.split(" = ") for line in section.splitlines())
-        for name in ("jitter_repairs", "exp_clamps"):
+        for name in ("jitter_repairs", "exp_clamps", "scan_draws", "scan_evals"):
             per_chain = [int(counters[f"chain_{k}.{name}"]) for k in range(2)]
             assert int(counters[f"total.{name}"]) == sum(per_chain)
         assert int(counters["total.jitter_repairs"]) >= 3
         assert int(counters["total.exp_clamps"]) >= 30
+        assert int(counters["total.scan_evals"]) > int(counters["total.scan_draws"]) > 0
 
     def test_fit_deterministic_chain_files(self, tmp_path):
         cfg = simulate_then_fit(tmp_path)

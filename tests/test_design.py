@@ -200,6 +200,11 @@ class TestBisquare:
         with pytest.raises(ValueError):
             bisquare_basis(np.zeros((2, 2)), np.zeros((1, 2)), [0.0])
 
+    def test_nonfinite_coords_rejected(self):
+        # a NaN distance fails every support test and would give a zero row
+        with pytest.raises(ValueError, match="coords must be finite"):
+            bisquare_basis([[np.nan, 0.5], [0.5, 0.5]], [[0.5, 0.5]], [1.0])
+
 
 class TestMultiresolutionGrid:
     def test_counts(self):

@@ -255,30 +255,20 @@ class TestVarianceBlockLaws:
         ratio = proj.var() / exact.var()
         assert 1.8 < ratio < 3.2
 
-    def test_exact_scan_log_density_calls_per_draw(self, monkeypatch):
+    def test_exact_scan_log_density_calls_per_draw(self):
         # the current value's tangent comes from the curvature pass and the
-        # two seeds from one Newton step: about 2 + 1.2 calls per draw
-        # (5.7 with the five-probe walk from the current value)
+        # two seeds from one Newton step: about 2 + 1.2 evaluations per draw
+        # (5.7 with the five-probe walk from the current value); the scan
+        # kernel counts both into the chain's counters
         from hetgibbs.oracle import SyntheticShape, generate_synthetic, synthetic_model_spec
 
-        counts = {"draws": 0, "calls": 0}
-        inner = gibbs.sample_logconcave
-
-        def counting(rng, fg, *args, **kwargs):
-            def fg_counted(t):
-                counts["calls"] += 1
-                return fg(t)
-
-            counts["draws"] += 1
-            return inner(rng, fg_counted, *args, **kwargs)
-
-        monkeypatch.setattr(gibbs, "sample_logconcave", counting)
         shape = SyntheticShape(p1=2, p2=2, r1=2, r2=4)
         data, _ = generate_synthetic(shape, seed=12, n=100)
         spec = synthetic_model_spec(data, shape, Hyperparams(trunc_lower=3.0))
-        run_gibbs(spec, data, GibbsConfig(iterations=150, burn_in=50, seed=13))
-        assert counts["draws"] == 150 * (2 + 4 + 1)
-        assert counts["calls"] / counts["draws"] <= 3.6
+        chain = run_gibbs(spec, data, GibbsConfig(iterations=150, burn_in=50, seed=13))[0]
+        counters = chain.counters
+        assert counters.scan_draws == 150 * (2 + 4 + 1)
+        assert counters.scan_evals / counters.scan_draws <= 3.6
 
     def test_hook_receives_assembled_params(self, monkeypatch):
         # the builder is looked up per call, so a rebinding (a negative

@@ -5,16 +5,17 @@ n=60) with two chains of 80 iterations and hashes the raw bytes of every
 chain's draw matrix.  A behaviour-preserving change to the sampler must
 reproduce these digests bit for bit; a change that alters the random
 stream must update them deliberately, together with a fresh calibration
-check.  They were last re-recorded when the beta2 and eta2 blocks began to
-be scanned along the principal axes of their designs
-(``TestSbcVarianceRandomEffects`` and ``TestSbcCollinearLaplace`` in
-``test_oracle.py`` and acceptance criteria 4 and 8 passed on that sampler).
+check.  They were last re-recorded when the cMLG coordinate scan moved into
+the compiled kernel (``_scan.c``), whose serial sums and libm ``exp`` round
+differently from numpy's (``TestSbcVarianceRandomEffects`` and
+``TestSbcCollinearLaplace`` in ``test_oracle.py`` and acceptance criteria 4
+and 8 passed on that sampler).
 
-The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1
-and OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), at
-both 1 and 2 OpenBLAS threads.  Another BLAS build or CPU kernel may round
-the Normal solves differently and so move the digests without any change
-to this package.
+The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
+OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), gcc 12.2
+and glibc 2.36's libm, at both 1 and 2 OpenBLAS threads.  Another BLAS build or
+CPU kernel may round the Normal solves differently, and another libm may
+round ``exp``, and so move the digests without any change to this package.
 """
 
 import hashlib
@@ -30,24 +31,24 @@ CASES = {
         SyntheticShape(p1=2, p2=2, r1=3, r2=3),
         Hyperparams(),
         [
-            "68d8e08f9e29a5514a91fc479800d5cc53fa4b3efa0b64b192430f8e84fe74e1",
-            "9587ebc27c531af0cf701af92357f2e21cd801186be16190a55468bafac552fc",
+            "1fc3117616df82dd901b2002078f9587a101f3d7428d38a855b397b2f114bd34",
+            "a93dd3c3586e8e7a027669820acbb0d66611fc7dd162fcf768ab51c8ab39a041",
         ],
     ),
     "laplace_re": (
         SyntheticShape(p1=2, p2=2, r1=3, r2=3, likelihood="laplace"),
         Hyperparams(),
         [
-            "e54adb9996e1cd1713595d13f61d68593fc811cd90bf338292e857e5f1bb9c01",
-            "cbdbccf32b04070855cf6705be7a7c57f6bad6ec98e025c3d015d56ea53c3c94",
+            "0724b27491d2ef801a946cf3e1c1dee662d63748b5c125409f84551b534b2d33",
+            "9f1b869d1ac01178ce0238ee9ac916733a2148f382b7015deaff04b8ab6fd500",
         ],
     ),
     "truncated_scale": (
         SyntheticShape(p1=1, p2=1, r2=4),
         Hyperparams(trunc_lower=7.0),
         [
-            "449507c3b694ef5f41bfb49f41cc2540b9e5d2d574084d222f2598104efb8967",
-            "2f7b7a346a7f983b0751702513238e5c7b2869bda97e6a0b3245f88d48ff1ca4",
+            "ce700bc4c5379edbe69471fac64f2f87840dd31cdc8b681348c7da8dd8bf54e2",
+            "50bde43d9d0baee46485faa6887f9af38b55b804428f26961b0ef04ebb7186b7",
         ],
     ),
 }
