@@ -77,7 +77,7 @@ typedef struct {
     double *e;         /* the exp terms of the latest evaluation */
     double t0, cj;
     bitgen_t *rng;
-    long long evals;
+    long long evals, proposals;
 } coord_t;
 
 static int finite3(double x, double h, double g)
@@ -376,6 +376,7 @@ static int draw(coord_t *c, hull_t *hl, double lower, double x0, double scale,
 
     for (int it = 0; it < MAX_REJECTIONS; it++) {
         double x, env, h, g;
+        c->proposals++;
         if ((st = hull_sample(hl, c->rng, &x, &env)) != SCAN_OK)
             return st;
         evaluate(c, x, &h, &g);
@@ -420,8 +421,9 @@ static int draw(coord_t *c, hull_t *hl, double lower, double x0, double scale,
  * HT and HT2 are k x m, row-major: H' and its elementwise square.  alpha
  * and kappa have m entries.  x (k entries) holds the current value on entry
  * and the new draw on return.  info[0] receives the failing coordinate;
- * info[1] and info[2] are incremented by the coordinate draws started and
- * the log-density evaluations made.  Returns SCAN_OK or a failure code.
+ * info[1], info[2] and info[3] are incremented by the coordinate draws
+ * started, the log-density evaluations made and the envelope proposals
+ * drawn.  Returns SCAN_OK or a failure code.
  */
 int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
                  const double *alpha, const double *kappa, double *x,
@@ -445,7 +447,7 @@ int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
     for (long i = 0; i < m; i++)
         w[i] = log(kappa[i]) + w[i];
 
-    coord_t c = {.m = m, .w = w, .e = e, .rng = rng, .evals = 0};
+    coord_t c = {.m = m, .w = w, .e = e, .rng = rng, .evals = 0, .proposals = 0};
     /* e holds exp(w) at the current x once a coordinate is accepted: the
        accepted candidate's terms exp(w_i + hj_i d) are bit for bit the
        terms at the updated w_i = w_i + hj_i d */
@@ -482,6 +484,7 @@ int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
         e_current = 1;
     }
     info[2] += c.evals;
+    info[3] += c.proposals;
 done:
     free(w);
     free(e);

@@ -132,7 +132,8 @@ def scan_cmlg(rng: np.random.Generator, HT: np.ndarray, HT2: np.ndarray, alpha: 
     ``HT`` is ``H'`` and ``HT2`` its elementwise square, each ``k x m``;
     ``alpha`` and ``kappa`` have ``m`` entries.  Uniforms are taken from
     ``rng``'s bit generator exactly as ``rng.random()`` would take them.
-    ``counters``, when given, gains the draws and evaluations made.
+    ``counters``, when given, gains the draws, evaluations and envelope
+    proposals made.
     """
     fn = load().hg_scan_cmlg
     arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (HT, HT2, alpha, kappa)]
@@ -140,7 +141,7 @@ def scan_cmlg(rng: np.random.Generator, HT: np.ndarray, HT2: np.ndarray, alpha: 
     k, m = arrays[0].shape
     if arrays[1].shape != (k, m) or arrays[2].shape != (m,) or arrays[3].shape != (m,) or x.shape != (k,):
         raise ValueError("scan inputs have mismatched shapes")
-    info = np.zeros(3, dtype=np.int64)
+    info = np.zeros(4, dtype=np.int64)
     # the arrays stay referenced here until the call returns
     pointers = [a.__array_interface__["data"][0] for a in (*arrays, x, info)]
     bitgen = rng.bit_generator
@@ -149,6 +150,7 @@ def scan_cmlg(rng: np.random.Generator, HT: np.ndarray, HT2: np.ndarray, alpha: 
     if counters is not None:
         counters.scan_draws += int(info[1])
         counters.scan_evals += int(info[2])
+        counters.scan_proposals += int(info[3])
     if status:
         message = _MESSAGES.get(status, f"scan kernel status {status}")
         raise LogConcaveError(f"{message} (coordinate {int(info[0])})")

@@ -40,15 +40,17 @@ CLAMP_LIMIT = 700.0
 class RunCounters:
     """Observable numerical events and scan work accumulated during one chain.
 
-    ``scan_draws`` counts the exact coordinate draws of the cMLG scans and
+    ``scan_draws`` counts the exact coordinate draws of the cMLG scans,
     ``scan_evals`` the log-density evaluations they made, not counting the
-    pass at each coordinate's current value.
+    pass at each coordinate's current value, and ``scan_proposals`` the
+    candidates they drew from their envelopes.
     """
 
     jitter_repairs: int = 0
     exp_clamps: int = 0
     scan_draws: int = 0
     scan_evals: int = 0
+    scan_proposals: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -165,12 +165,15 @@ class TestCommands:
         assert "dic" in meta and "waic" in meta and "msev_insample" in meta
         section = meta.split("[counters]\n")[1].split("\n\n")[0]
         counters = dict(line.split(" = ") for line in section.splitlines())
-        for name in ("jitter_repairs", "exp_clamps", "scan_draws", "scan_evals"):
+        for name in ("jitter_repairs", "exp_clamps", "scan_draws", "scan_evals", "scan_proposals"):
             per_chain = [int(counters[f"chain_{k}.{name}"]) for k in range(2)]
             assert int(counters[f"total.{name}"]) == sum(per_chain)
         assert int(counters["total.jitter_repairs"]) >= 3
         assert int(counters["total.exp_clamps"]) >= 30
         assert int(counters["total.scan_evals"]) > int(counters["total.scan_draws"]) > 0
+        # each draw takes one proposal at least, and each proposal one evaluation
+        assert (int(counters["total.scan_evals"]) >= int(counters["total.scan_proposals"])
+                >= int(counters["total.scan_draws"]))
 
     def test_fit_deterministic_chain_files(self, tmp_path):
         cfg = simulate_then_fit(tmp_path)

@@ -82,6 +82,15 @@ def test_kernel_failure_raises_the_reference_error():
         gibbs._scan_cmlg_exact(np.random.default_rng(0), params, x0)
 
 
+def test_flags_keep_the_draws_deterministic():
+    # the golden digests rest on every sum and product rounding as written:
+    # no contraction into FMAs, no reassociation, no host-specific code
+    assert "-ffp-contract=off" in _scan.FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-march=native", "-funsafe-math-optimizations",
+                 "-fassociative-math", "-ffp-contract=fast"):
+        assert flag not in _scan.FLAGS
+
+
 def small_problem():
     shape = SyntheticShape(p1=2, p2=2, r2=3)
     data, _ = generate_synthetic(shape, seed=4, n=40)
