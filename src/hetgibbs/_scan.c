@@ -12,8 +12,12 @@
  * Python sampler calls rng.random(), so both consume the same stream.
  *
  * Built with -ffp-contract=off and without -ffast-math: every sum runs
- * serially in a fixed order and every exp is the scalar libm one, so the
- * draws do not depend on the CPU's vector width.
+ * serially in a fixed order.  The row terms exp(w_i + h_ij d) come from
+ * hg_exp, an exponential made of IEEE adds, multiplies and selects only,
+ * in a loop of their own that is compiled once per vector width and picked
+ * at load time (target_clones).  Each lane of every width rounds exactly as
+ * the scalar code does, so the draws depend neither on the CPU's vector
+ * width nor on the libm's exp.
  */
 
 #include <math.h>
@@ -57,6 +61,96 @@ enum {
 #define PYMAX(a, b) ((b) > (a) ? (b) : (a))
 #define PYMIN(a, b) ((b) < (a) ? (b) : (a))
 
+/* ---------------------------------------------------------- exponential */
+
+/* one build of the exp loop per vector width, chosen when the library is
+   loaded (an ifunc, hence glibc); the plain loop elsewhere, or with
+   -DHG_NO_CLONES, gives the same bits */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && !defined(HG_NO_CLONES)
+#if __has_attribute(target_clones)
+#define HG_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef HG_CLONES
+#define HG_CLONES
+#endif
+
+#define EXP_SHIFT 0x1.8p52          /* adding it rounds to an integer */
+#define EXP_INV_LN2 0x1.71547652b82fep0
+#define EXP_LN2_HI 0x1.62e42fee00000p-1 /* n * LN2_HI is exact for |n| < 2^21 */
+#define EXP_LN2_LO 0x1.a39ef35793c76p-33
+#define EXP_MAX 709.782712893384    /* log(DBL_MAX), rounded down */
+#define EXP_MIN -745.2              /* below log(2^-1075): rounds to 0 */
+
+static inline uint64_t as_u64(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+static inline double as_f64(uint64_t u)
+{
+    double x;
+    memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+/* 2^m for an integer-valued m with -1022 <= m <= 1023 */
+static inline double pow2(double m)
+{
+    return as_f64(as_u64(m + (EXP_SHIFT + 1023.0)) << 52);
+}
+
+/*
+ * exp(x) within 1 ulp of a correctly rounded one, from adds, multiplies
+ * and selects alone.  x = n ln2 + r with |r| <= ln2/2 (Cody & Waite's
+ * two-part ln2); exp(r) = 1 + r + r^2 q(r) with q a degree-9 near-minimax
+ * (Chebyshev) fit to (e^r - 1 - r)/r^2 on |r| <= 0.35, relative error
+ * 2e-17; 2^n is applied as two factors so that subnormal results round
+ * once.  +inf above EXP_MAX, 0 below EXP_MIN, NaN in gives NaN out.
+ */
+static inline double hg_exp(double x)
+{
+    double n = (x * EXP_INV_LN2 + EXP_SHIFT) - EXP_SHIFT;
+    double r = (x - n * EXP_LN2_HI) - n * EXP_LN2_LO;
+    /* Estrin's scheme: shorter dependency chains than Horner's */
+    double r2 = r * r, r4 = r2 * r2;
+    double a0 = 0x1.0000000000001p-1 + 0x1.5555555555556p-3 * r;
+    double a1 = 0x1.5555555553b72p-5 + 0x1.111111111091ap-7 * r;
+    double a2 = 0x1.6c16c1794bd5cp-10 + 0x1.a01a01a83a3a3p-13 * r;
+    double a3 = 0x1.a019b62aaa671p-16 + 0x1.71de0be80e7e8p-19 * r;
+    double a4 = 0x1.2894eb03786e2p-22 + 0x1.af3cd7b3560d9p-26 * r;
+    double q = ((a0 + a1 * r2) + (a2 + a3 * r2) * r4) + a4 * (r4 * r4);
+    double p = 1.0 + (r + r2 * q);
+    double n1 = (0.5 * n + EXP_SHIFT) - EXP_SHIFT;
+    double y = p * pow2(n1) * pow2(n - n1);
+    y = x > EXP_MAX ? INFINITY : y;
+    y = x < EXP_MIN ? 0.0 : y;
+    return y;
+}
+
+/* e_i = exp(w_i + hj_i d), or exp(w_i) when hj is NULL; e must not
+   overlap w or hj */
+HG_CLONES
+static void exp_terms(long m, const double *restrict w, const double *restrict hj, double d,
+                      double *restrict e)
+{
+    if (hj == NULL) {
+        for (long i = 0; i < m; i++)
+            e[i] = hg_exp(w[i]);
+    } else {
+        for (long i = 0; i < m; i++)
+            e[i] = hg_exp(w[i] + hj[i] * d);
+    }
+}
+
+/* out_i = exp(x_i) through the scan's own loop; out must not overlap x */
+void hg_exp_array(long n, const double *x, double *out)
+{
+    exp_terms(n, x, NULL, 0.0, out);
+}
+
 typedef struct {
     double x, h, g;
 } point_t;
@@ -91,11 +185,10 @@ static void evaluate(coord_t *c, double t, double *h, double *g)
     const double *w = c->w, *hj = c->hj;
     double *e = c->e;
     double sum = 0.0, dot = 0.0;
+    exp_terms(c->m, w, hj, d, e);
     for (long i = 0; i < c->m; i++) {
-        double ei = exp(w[i] + hj[i] * d);
-        e[i] = ei;
-        sum += ei;
-        dot += ei * hj[i];
+        sum += e[i];
+        dot += e[i] * hj[i];
     }
     c->evals++;
     if (!isfinite(sum)) {
@@ -205,7 +298,7 @@ static int hull_sample(hull_t *hl, bitgen_t *rng, double *x_out, double *env)
         return SCAN_EMPTY_ENVELOPE;
     double acc = 0.0;
     for (int i = 0; i < k; i++) {
-        acc += exp(hl->logmass[i] - top);
+        acc += hg_exp(hl->logmass[i] - top);
         hl->cdf[i] = acc;
     }
     double target = rng->next_double(rng->state) * hl->cdf[k - 1];
@@ -232,7 +325,7 @@ static int hull_sample(hull_t *hl, bitgen_t *rng, double *x_out, double *env)
         if (fabs(d) < 1e-12)
             x = za + r * (zb - za);
         else if (d > 0.0)
-            x = za + (d + log(r + (1.0 - r) * exp(-d))) / g;
+            x = za + (d + log(r + (1.0 - r) * hg_exp(-d))) / g;
         else
             x = za + log1p(r * expm1(d)) / g;
         x = PYMAX(x, za);
@@ -457,13 +550,14 @@ int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
         double cj = 0.0;
         for (long i = 0; i < m; i++)
             cj += hj[i] * alpha[i];
+        if (!e_current)
+            exp_terms(m, w, NULL, 0.0, e);
         double t0 = x[j];
         double s0 = 0.0, dot = 0.0, curv = 0.0;
         for (long i = 0; i < m; i++) {
-            double ei = e_current ? e[i] : exp(w[i]);
-            s0 += ei;
-            dot += ei * hj[i];
-            curv += ei * hj2[i];
+            s0 += e[i];
+            dot += e[i] * hj[i];
+            curv += e[i] * hj2[i];
         }
         double scale = (isfinite(curv) && curv > 0.0) ? 1.0 / sqrt(curv) : 1.0;
         scale = PYMIN(scale, 1e3);

@@ -2,8 +2,12 @@
 
 The kernel is compiled on the first scan, never at import, with the C
 compiler named by ``CC`` (``cc`` when unset) and the fixed flags ``FLAGS``:
-no ``-march=native`` and no ``-ffast-math``, so sums keep their order and the
-draws do not depend on the CPU's vector width.  The shared library goes to a
+``-ffp-contract=off``, no ``-march=native`` and no ``-ffast-math``, so sums
+keep their order and every operation rounds as written.  The kernel's own
+exponential (``hg_exp``, made of adds, multiplies and selects) runs in a loop
+built once per vector width and chosen when the library loads; every width
+gives the same bits, so the draws depend neither on the CPU nor on the
+libm's ``exp``.  The shared library goes to a
 cache outside the package (``$XDG_CACHE_HOME/hetgibbs``, else
 ``~/.cache/hetgibbs``, else a per-user directory under the system's
 temporary directory), named by a hash of the source, the command and the
@@ -30,7 +34,8 @@ from .logconcave import LogConcaveError
 __all__ = ["FLAGS", "KernelBuildError", "cache_dirs", "load", "scan_cmlg"]
 
 SOURCE = Path(__file__).with_name("_scan.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# -fno-trapping-math lets the exp loop's clamps become selects; it changes no result
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math")
 
 # LogConcaveError messages of logconcave.sample_logconcave, by kernel status
 _MESSAGES = {
@@ -121,6 +126,9 @@ def load():
         fn.restype = ctypes.c_int
         fn.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 5 + [
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+        exp_array = lib.hg_exp_array
+        exp_array.restype = None
+        exp_array.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
         _lib = lib
     return _lib
 

@@ -248,10 +248,13 @@ def gaussian_conditional(M: np.ndarray, w: np.ndarray, resp: np.ndarray, prior_p
     """Precision matrix and shift vector of a Normal block conditional.
 
     The conditional is N(Q^{-1} b, Q^{-1}) with Q = M' diag(w) M +
-    prior_prec * I and b = M' (w * resp).
+    prior_prec * I and b = M' (w * resp).  M' diag(w) M is formed as A'A
+    with A = diag(sqrt w) M, which numpy hands to BLAS as one symmetric
+    rank-k update (syrk), so Q comes out exactly symmetric.
     """
     k = M.shape[1]
-    Q = M.T @ (M * w[:, None])
+    A = M * np.sqrt(w)[:, None]
+    Q = A.T @ A
     Q[np.diag_indices(k)] += prior_prec
     b = M.T @ (w * resp)
     return Q, b

@@ -105,6 +105,16 @@ class TestMeanBlocks:
         gls = np.linalg.solve(X.T @ (X * w[:, None]), X.T @ (w * y))
         assert np.allclose(mean, gls, rtol=1e-3)
 
+    def test_precision_is_the_weighted_gram_matrix_and_symmetric(self):
+        # Q is built as A'A with A = diag(sqrt w) M (one BLAS syrk)
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(300, 40))
+        w = rng.gamma(2.0, size=300)
+        Q, _ = gaussian_conditional(M, w, rng.normal(size=300), 0.5)
+        expected = M.T @ (M * w[:, None]) + 0.5 * np.eye(40)
+        assert np.max(np.abs(Q - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(Q, Q.T)
+
     def test_fixed_seed_identical_draw(self):
         spec = make_spec(np.ones((10, 1)), np.ones((10, 1)))
         data = Dataset(y=np.arange(10.0))

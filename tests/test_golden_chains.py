@@ -5,17 +5,20 @@ n=60) with two chains of 80 iterations and hashes the raw bytes of every
 chain's draw matrix.  A behaviour-preserving change to the sampler must
 reproduce these digests bit for bit; a change that alters the random
 stream must update them deliberately, together with a fresh calibration
-check.  They were last re-recorded when the cMLG coordinate scan moved into
-the compiled kernel (``_scan.c``), whose serial sums and libm ``exp`` round
-differently from numpy's (``TestSbcVarianceRandomEffects`` and
-``TestSbcCollinearLaplace`` in ``test_oracle.py`` and acceptance criteria 4
-and 8 passed on that sampler).
+check.  They were last re-recorded when the scan kernel (``_scan.c``) took
+its own exponential, ``hg_exp``, in place of the libm's, and the Normal
+blocks began to form their precision matrix with one symmetric rank-k
+update (``TestSbcVarianceRandomEffects`` and ``TestSbcCollinearLaplace`` in
+``test_oracle.py`` and acceptance criteria 4 and 8 passed on that sampler).
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), gcc 12.2
-and glibc 2.36's libm, at both 1 and 2 OpenBLAS threads.  Another BLAS build or
-CPU kernel may round the Normal solves differently, and another libm may
-round ``exp``, and so move the digests without any change to this package.
+and glibc 2.36's libm, at both 1 and 2 OpenBLAS threads, and came out the
+same from the kernel's AVX-512, AVX2 and SSE2 builds of its exponential
+loop.  They do not depend on the libm's ``exp``.  Another BLAS build or CPU
+kernel may round the Normal solves differently, and another libm may round
+the ``log``, ``log1p`` and ``expm1`` of the scan's envelope, and so move the
+digests without any change to this package.
 """
 
 import hashlib
@@ -31,24 +34,24 @@ CASES = {
         SyntheticShape(p1=2, p2=2, r1=3, r2=3),
         Hyperparams(),
         [
-            "1fc3117616df82dd901b2002078f9587a101f3d7428d38a855b397b2f114bd34",
-            "a93dd3c3586e8e7a027669820acbb0d66611fc7dd162fcf768ab51c8ab39a041",
+            "ee56942a5c63251eecfd824632470c3a613ed7b450f5c3f711213c0f7fc6e039",
+            "c5b4a4f763e34a8a2f37e0048b8eb56a41f0de2717e67d2bc3e6dc71648dbb04",
         ],
     ),
     "laplace_re": (
         SyntheticShape(p1=2, p2=2, r1=3, r2=3, likelihood="laplace"),
         Hyperparams(),
         [
-            "0724b27491d2ef801a946cf3e1c1dee662d63748b5c125409f84551b534b2d33",
-            "9f1b869d1ac01178ce0238ee9ac916733a2148f382b7015deaff04b8ab6fd500",
+            "e065a98b993dec55d67aeaf5cc84922d4938a69bce22bbce9044ef720992b28b",
+            "3a120c01972c66cecf0762403192a13e8ed59f4e7eb599b4570b752a042cb53e",
         ],
     ),
     "truncated_scale": (
         SyntheticShape(p1=1, p2=1, r2=4),
         Hyperparams(trunc_lower=7.0),
         [
-            "ce700bc4c5379edbe69471fac64f2f87840dd31cdc8b681348c7da8dd8bf54e2",
-            "50bde43d9d0baee46485faa6887f9af38b55b804428f26961b0ef04ebb7186b7",
+            "6fa5f52d6b50039ea20dcda8ad5db5dedc7d00794866af188480ee49fdd55f65",
+            "3897796593eaf0030b7f69cb28ef68ab2a3edba25264eb7c0cbec185f5a34ea1",
         ],
     ),
 }

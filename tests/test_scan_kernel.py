@@ -4,9 +4,12 @@
 ``oracle.scan_cmlg_reference`` is the same scan in Python.  From the same
 seed both take the same uniforms in the same order, so on the same
 conditional their draws differ only by the rounding of the kernel's serial
-sums and libm ``exp`` against numpy's.  ``TOL`` was set from a measurement:
-over the three conditionals below the largest difference was 2.2e-12 (η2
-blocks) and 0 (the truncated scale).
+sums and its own ``exp`` (``hg_exp``, within an ulp of numpy's) against
+numpy's.  ``TOL`` was set from a measurement: over the three conditionals
+below the largest difference was 9.7e-12 and 3.7e-12 (the Gaussian and
+Laplace η2 blocks) and 0 (the truncated scale).  The exponential is checked
+against ``np.exp`` on its own, and the build without vector-width clones
+(``-DHG_NO_CLONES``) against the dispatched one, bit for bit.
 """
 
 import os
@@ -89,6 +92,56 @@ def test_flags_keep_the_draws_deterministic():
     for flag in ("-ffast-math", "-Ofast", "-march=native", "-funsafe-math-optimizations",
                  "-fassociative-math", "-ffp-contract=fast"):
         assert flag not in _scan.FLAGS
+
+
+def kernel_exp(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    _scan.load().hg_exp_array(x.size, x.ctypes.data, out.ctypes.data)
+    return out
+
+
+def test_exp_within_one_ulp_of_numpy():
+    x = np.concatenate([np.linspace(-745.2, 709.78, 2_000_001),
+                        np.random.default_rng(0).uniform(-2.0, 2.0, 200_000)])
+    got, want = kernel_exp(x), np.exp(x)
+    # both are finite and non-negative, so their bit patterns order like their values
+    assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 1
+
+
+def test_exp_special_values():
+    top = 709.782712893384  # log(DBL_MAX), rounded down
+    x = np.array([np.inf, -np.inf, np.nan, top, np.nextafter(top, np.inf), np.nextafter(top, 0.0),
+                  -745.13, -745.2, np.nextafter(-745.2, -np.inf), 0.0, -0.0])
+    got = kernel_exp(x)
+    assert got[0] == np.inf and got[1] == 0.0 and np.isnan(got[2])
+    with np.errstate(over="ignore"):
+        ulps = np.abs(got.view(np.int64) - np.exp(x).view(np.int64))
+    assert np.isfinite(got[[3, 5]]).all() and ulps[3] <= 1 and ulps[5] <= 1
+    assert got[4] == np.inf
+    assert got[6] == 5e-324  # the smallest subnormal
+    assert got[7] == 0.0 and got[8] == 0.0
+    assert got[9] == 1.0 and got[10] == 1.0
+
+
+def test_clones_off_give_the_same_bits(tmp_path, monkeypatch):
+    # the dispatched build runs the exp loop at the widest vector width the
+    # CPU has; the build without clones runs the plain loop
+    params, x0, lower, squares = eta2_case("gaussian")
+    x = np.linspace(-745.2, 709.78, 100_001)
+
+    def run():
+        draws = [gibbs._scan_cmlg_exact(np.random.default_rng(seed), params, x0, lower=lower,
+                                        squares=squares) for seed in range(200)]
+        return b"".join(d.tobytes() for d in draws), kernel_exp(x).tobytes()
+
+    dispatched = run()
+    monkeypatch.setattr(_scan, "cache_dirs", lambda: [tmp_path])
+    monkeypatch.setattr(_scan, "_lib", None)
+    monkeypatch.setenv("CC", (os.environ.get("CC") or "cc") + " -DHG_NO_CLONES")
+    plain = run()
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".so"]  # a second build ran
+    assert plain == dispatched
 
 
 def small_problem():
