@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shlex
@@ -133,18 +134,24 @@ def load():
     return _lib
 
 
-def scan_cmlg(rng: np.random.Generator, HT: np.ndarray, HT2: np.ndarray, alpha: np.ndarray,
-              kappa: np.ndarray, x0, lower: float, counters=None) -> np.ndarray:
+def scan_cmlg(rng: np.random.Generator, params, x0, lower: float = -math.inf,
+              counters=None) -> np.ndarray:
     """One systematic scan of exact coordinate draws; returns the new ``x``.
 
-    ``HT`` is ``H'`` and ``HT2`` its elementwise square, each ``k x m``;
-    ``alpha`` and ``kappa`` have ``m`` entries.  Uniforms are taken from
-    ``rng``'s bit generator exactly as ``rng.random()`` would take them.
+    ``params`` is a ``gibbs.CmlgParams``: ``HT`` is ``H'`` and ``HT2`` its
+    elementwise square, each ``k x m``; ``alpha`` and ``kappa`` have ``m``
+    entries.  Each coordinate's conditional is proportional to
+    exp(c_j t - sum_i u_i exp(H_ij t)), log-concave, and is drawn by adaptive
+    rejection sampling warm-started at the current value, whose log density,
+    slope and curvature come from one pass over the rows.  Uniforms are taken
+    from ``rng``'s bit generator exactly as ``rng.random()`` would take them.
     ``counters``, when given, gains the draws, evaluations and envelope
-    proposals made.
+    proposals made.  ``oracle.scan_cmlg_reference`` is the same scan in
+    Python.
     """
     fn = load().hg_scan_cmlg
-    arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in (HT, HT2, alpha, kappa)]
+    arrays = [np.ascontiguousarray(a, dtype=np.float64)
+              for a in (params.HT, params.HT2, params.alpha, params.kappa)]
     x = np.array(x0, dtype=np.float64).reshape(-1)
     k, m = arrays[0].shape
     if arrays[1].shape != (k, m) or arrays[2].shape != (m,) or arrays[3].shape != (m,) or x.shape != (k,):

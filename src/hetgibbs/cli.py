@@ -155,7 +155,8 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
     cells become missing).  A row of empty cells is a row of missing values;
     lines starting with ``#`` before the header (provenance comments) and
     blank lines are skipped.  Ragged rows, reported by their line in the
-    file, and header-only files are errors.
+    file, a column name repeated in the header, and header-only files are
+    errors.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -168,6 +169,11 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
             break
         if header is None:
             raise ValueError(f"{path} is empty")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise ValueError(f"{path}: column {name!r} appears more than once in the header")
+            seen.add(name)
         rows = []
         for row in reader:
             if not row:
@@ -183,18 +189,12 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
     columns: dict = {}
     for j, name in enumerate(header):
         cells = [r[j].strip() for r in rows]
-        nonempty = [c for c in cells if c != ""]
-        numeric = True
-        for c in nonempty:
-            try:
-                float(c)
-            except ValueError:
-                numeric = False
-                break
-        if numeric and nonempty:
-            columns[name] = np.array(
-                [float(c) if c != "" else np.nan for c in cells], dtype=float
-            )
+        try:
+            values = [float(c) if c != "" else np.nan for c in cells]
+        except ValueError:
+            values = None
+        if values is not None and any(c != "" for c in cells):
+            columns[name] = np.array(values, dtype=float)
         else:
             columns[name] = np.array(
                 [c if c != "" else None for c in cells], dtype=object
@@ -266,11 +266,16 @@ def _build_from_config(cfg: dict):
         if esvm and _get(cfg, section, key, None) is not None:
             raise ConfigError(f"[{section}] {key} does not apply to ESVM fits "
                               "(the mean is one intercept, the variance design the reservoir)")
-    dataset, report = load_csv(data_path)
-    dataset = _extract_response(dataset, response)
     config = GibbsConfig(**cfg.get("sampler", {}))
     hyper_keys = {f.name for f in fields(Hyperparams)}
     hyper = Hyperparams(**{k: v for k, v in cfg.get("model", {}).items() if k in hyper_keys})
+    if esvm:
+        try:
+            hyper = replace(hyper, trunc_lower=_get(cfg, "esvm", "c", 7.0))
+        except ValueError as exc:
+            raise ConfigError(f"[esvm] c: {exc}") from exc
+    dataset, report = load_csv(data_path)
+    dataset = _extract_response(dataset, response)
     file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
 
     if esvm:
@@ -317,7 +322,7 @@ def _build_from_config(cfg: dict):
             reservoir=reservoir,
             inputs=inputs,
             mean_prior_var=_get(cfg, "esvm", "mean_prior_var", hyper.sigma2_beta1),
-            hyper=replace(hyper, trunc_lower=_get(cfg, "esvm", "c", 7.0)),
+            hyper=hyper,
         )
         spec, gdata = esvm_to_spec(es, returns)
         # the first kept return enters only as the lag of the second

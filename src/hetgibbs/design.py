@@ -63,8 +63,9 @@ class Hyperparams:
     Defaults follow the weakly informative setting used throughout:
     variances and shape constants at 1000, inverse-gamma constants at 0.5.
     ``trunc_lower`` is the lower truncation point of the prior on the
-    reciprocal variance-coefficient scale (0 for the plain model; raised,
-    e.g. to 7, by the echo-state volatility configuration).
+    reciprocal variance-coefficient scale, finite and at least 0 (0 for the
+    plain model; raised, e.g. to 7, by the echo-state volatility
+    configuration).
     """
 
     sigma2_beta1: float = 1000.0
@@ -83,8 +84,9 @@ class Hyperparams:
                 raise ValueError(f"{name} must be a positive finite number")
             setattr(self, name, v)
         self.trunc_lower = float(self.trunc_lower)
-        if not np.isfinite(self.trunc_lower):
-            raise ValueError("trunc_lower must be finite")
+        # below 0 the truncated draw of 1/sigma_eta2 can return a non-positive value
+        if not (self.trunc_lower >= 0.0 and np.isfinite(self.trunc_lower)):
+            raise ValueError(f"trunc_lower must be a finite number >= 0, got {self.trunc_lower!r}")
 
 
 @dataclass

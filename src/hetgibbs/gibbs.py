@@ -22,12 +22,15 @@ scan along the original coordinates crawls along; along the principal axes
 the coordinates are close to independent.  Along any fixed direction the
 conditional keeps the form exp(c t - sum_i k_i exp((HV)_i t)), log-concave
 as before, so each coordinate draw stays exact.  ``V`` is computed once per
-chain (``RotatedDesign``) from the design alone and never from the chain's
-state, so every scan is a Gibbs update of the exact block conditional and
-the stationary law is unchanged.  The ``fc_*`` updates and the builders of
-their conditionals (``eta2_conditional`` builds the rotated one, with map
-``[M V; c V]``) are module globals looked up per call, so a negative control
-(``oracle.kappa_doubling``) or a tracer can rebind them from outside.
+chain from the design alone and never from the chain's state, so every scan
+is a Gibbs update of the exact block conditional and the stationary law is
+unchanged.  The chain keeps each block's whole rotated conditional, with map
+``[M V; c V]``, in the kernel's layout (``RotatedDesign``); each call of its
+builder (``beta2_conditional``, ``eta2_conditional``) rewrites only the
+``n`` data rates and the ``k`` prior columns and hands that object to the
+kernel.  The ``fc_*`` updates and the builders are module globals looked up
+per call, so a negative control (``oracle.kappa_doubling``) or a tracer can
+rebind them from outside.
 
 The least-squares projection recipe once offered beside the exact scan
 inflates the conditional variance of these data-augmented maps (about 2.5x
@@ -35,16 +38,17 @@ for an intercept-only variance block); it survives only as
 ``oracle.cmlg_sample``, the subject of the total-variation study in
 ``oracle.cmlg_scalar_tv``.
 
-``CmlgParams`` is the form every variance-side builder returns: a cMLG
-density proportional to ``exp(alpha' H x - kappa' exp(H x))`` for a tall map
-``H``.  The MLG law itself lives in ``hetgibbs.oracle``, which the sampler
-never imports.
+``CmlgParams`` is the form every variance-side builder returns and the
+kernel reads: a cMLG density proportional to
+``exp(alpha' H x - kappa' exp(H x))`` for a tall map ``H``, held as ``HT = H'``
+with its squares.  The MLG law itself lives in ``hetgibbs.oracle``, which
+the sampler never imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -104,42 +108,51 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 @dataclass
 class CmlgParams:
-    """Parameters of a conditional MLG: tall linear map, shapes, rates.
+    """A conditional MLG in the scan kernel's layout: map, squares, shapes, rates.
 
-    Any location offset is assumed absorbed into ``kappa`` (the form in
-    which every model conditional arrives), so no separate offset is kept.
-    ``H`` must have at least as many rows as columns; full column rank is
-    verified where it is available for free (``oracle.cmlg_sample``'s solve).
-    ``h_checked=True`` skips the pass that checks ``H`` is finite, for a
-    builder that has already checked every entry it writes into ``H``.
+    The density is proportional to ``exp(alpha' H x - kappa' exp(H x))`` for
+    the tall map ``H = HT'``; ``HT`` is ``k x m`` with ``m >= k``, and ``HT2``
+    is ``HT * HT``, computed when not given.  Any location offset is assumed
+    absorbed into ``kappa`` (the form in which every model conditional
+    arrives), so no separate offset is kept.  Everything is validated once,
+    here; a builder that later rewrites entries in place
+    (``RotatedDesign.update``) keeps them valid itself.  Full column rank of
+    ``H`` is verified where it is available for free (``oracle.cmlg_sample``'s
+    solve).
     """
 
-    H: np.ndarray
+    HT: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
-    h_checked: InitVar[bool] = False
+    HT2: np.ndarray | None = None
 
-    def __post_init__(self, h_checked):
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        if self.H.ndim != 2:
-            raise ValueError("H must be a matrix")
+    def __post_init__(self):
+        self.HT = np.ascontiguousarray(np.atleast_2d(np.asarray(self.HT, dtype=float)))
+        if self.HT.ndim != 2:
+            raise ValueError("HT must be a matrix")
         self.alpha = _as_vector(self.alpha, "alpha")
         self.kappa = _as_vector(self.kappa, "kappa")
-        m, r = self.H.shape
-        if m < r:
-            raise ValueError(f"H must have at least as many rows as columns; got {m}x{r}")
-        if r < 1:
+        k, m = self.HT.shape
+        if m < k:
+            raise ValueError(f"H = HT' must have at least as many rows as columns; got {m}x{k}")
+        if k < 1:
             raise ValueError("H must have at least one column")
         if self.alpha.shape[0] != m or self.kappa.shape[0] != m:
             raise ValueError("alpha and kappa must have one entry per row of H")
         if np.any(self.alpha <= 0.0) or np.any(self.kappa <= 0.0):
             raise ValueError("alpha and kappa must be strictly positive")
-        if not h_checked and not np.all(np.isfinite(self.H)):
-            raise ValueError("H must be finite")
+        if not np.all(np.isfinite(self.HT)):
+            raise ValueError("HT must be finite")
+        if self.HT2 is None:
+            self.HT2 = self.HT * self.HT
+        else:
+            self.HT2 = np.ascontiguousarray(self.HT2, dtype=float)
+            if self.HT2.shape != self.HT.shape:
+                raise ValueError("HT2 must have the shape of HT")
 
     @property
     def dim(self) -> int:
-        return self.H.shape[1]
+        return self.HT.shape[0]
 
 
 @dataclass
@@ -172,6 +185,11 @@ class GibbsConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.n_stored == 0:
+            raise ValueError(
+                f"thin ({self.thin}) exceeds iterations - burn_in "
+                f"({self.iterations} - {self.burn_in}): no draw would be stored"
+            )
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 
@@ -348,163 +366,110 @@ def _clipped_exp(x: np.ndarray, counters: RunCounters | None) -> np.ndarray:
 
 
 class RotatedDesign:
-    """A variance block's design turned to fixed axes, built once per chain.
+    """A variance block's whole cMLG conditional, built once per chain.
 
-    ``V`` is orthonormal: by default the eigenvectors of ``M'M``, the
-    principal axes of the design ``M``.  In the coordinates ``u = V'b`` the
-    block's cMLG map is ``H V = [M V; c V]``, where ``c`` is the scale of the
-    isotropic prior rows ``c I``.  ``HT`` holds ``(H V)'`` and ``HT2`` its
-    elementwise square, each ``k x (n + k)``; only their last ``k`` columns,
-    the prior rows, change from call to call (``set_prior``).  ``V`` depends
-    on the design alone, never on the chain's state, and is read-only.
+    ``V`` holds the eigenvectors of ``M'M``, the principal axes of the design
+    ``M`` (``n x k``), and is read-only.  In the coordinates ``u = V'b`` the
+    block's cMLG map is ``[M V; c V]``, where ``c`` is the scale of the
+    isotropic prior rows ``c I``.  ``params`` holds the conditional in the
+    scan kernel's layout: ``HT = [M V; c V]'`` and its squares, each
+    ``k x (n + k)``; the shapes, 1/2 (Gaussian ``spec``) or 1 (Laplace) for
+    the data rows and alpha for the prior rows; and the rates, alpha for the
+    prior rows.  ``update`` rewrites only the ``n`` data rates and the ``k``
+    prior columns.  ``V`` depends on the design alone, never on the chain's
+    state.
     """
 
-    def __init__(self, M: np.ndarray, V: np.ndarray | None = None):
+    def __init__(self, M: np.ndarray, spec: ModelSpec):
         M = np.asarray(M, dtype=float)
         if not np.all(np.isfinite(M)):
             raise ValueError("variance-side design contains non-finite values")
         n, k = M.shape
-        if V is None:
-            _, V = np.linalg.eigh(M.T @ M)
-        self.n = n
-        self.V = np.array(V, dtype=float)
-        self.V.flags.writeable = False
-        self._VT = np.ascontiguousarray(self.V.T)
+        _, V = np.linalg.eigh(M.T @ M)
+        V.flags.writeable = False
+        self.n, self.V = n, V
+        self._VT = np.ascontiguousarray(V.T)
         self._VT2 = self._VT * self._VT
-        self.HT = np.zeros((k, n + k))
-        self.HT[:, :n] = (M @ self.V).T
-        self.HT2 = self.HT * self.HT
+        HT = np.empty((k, n + k))
+        HT[:, :n] = (M @ V).T
+        HT[:, n:] = self._VT  # prior scale 1 until the first update
+        alpha = spec.hyper.alpha
+        shape = 1.0 if spec.likelihood == "laplace" else 0.5
+        self.params = CmlgParams(
+            HT, np.concatenate([np.full(n, shape), np.full(k, alpha)]), np.full(n + k, alpha)
+        )
 
-    def set_prior(self, c: float) -> None:
-        """Write the prior columns ``c V'`` of ``HT`` and their squares."""
+    def update(self, rate: np.ndarray, c: float) -> CmlgParams:
+        """Write the floored data ``rate`` and the prior columns ``c V'``; return ``params``."""
         if not math.isfinite(c):
             raise ValueError(f"prior scale of the variance block is not finite: {c!r}")
-        np.multiply(self._VT, c, out=self.HT[:, self.n:])
-        np.multiply(self._VT2, c * c, out=self.HT2[:, self.n:])
+        p, n = self.params, self.n
+        np.maximum(rate, RATE_FLOOR, out=p.kappa[:n])
+        np.multiply(self._VT, c, out=p.HT[:, n:])
+        np.multiply(self._VT2, c * c, out=p.HT2[:, n:])
+        return p
 
 
-def _variance_conditional(
-    axes: RotatedDesign,
+def _data_rates(
     other: np.ndarray,
-    prior_sd: float,
     state: ChainState,
     spec: ModelSpec,
     data: Dataset,
     counters: RunCounters | None,
-) -> CmlgParams:
-    """cMLG parameters of a variance-side block in the coordinates of ``axes``.
+) -> np.ndarray:
+    """Rates of a variance-side block's data rows, before the floor.
 
-    ``other`` is the linear predictor of the other variance-side block and
-    ``prior_sd`` the block's prior scale.  Gaussian mode uses data shape 1/2
-    and rates from the floored squared residuals; Laplace mode uses data
-    shape 1 and rates from the augmentation scales.  The returned ``H`` is a
-    view of ``axes.HT``, rewritten by the block's next conditional.
+    ``other`` is the linear predictor of the other variance-side block.
+    Gaussian mode takes them from the floored squared residuals, Laplace
+    mode from the augmentation scales.
     """
     e_other = _clipped_exp(other, counters)
-    alpha = spec.hyper.alpha
     if spec.likelihood == "laplace":
-        rate = state.s * e_other
-        shape = 1.0
-    else:
-        resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
-        rate = 0.5 * resid2 * e_other
-        shape = 0.5
-    axes.set_prior((alpha ** -0.5) / prior_sd)
-    n, k = axes.n, axes.HT.shape[0]
-    a = np.concatenate([np.full(n, shape), np.full(k, alpha)])
-    kap = np.concatenate([np.maximum(rate, RATE_FLOOR), np.full(k, alpha)])
-    return CmlgParams(H=axes.HT.T, alpha=a, kappa=kap, h_checked=True)
+        return state.s * e_other
+    resid2 = np.maximum((data.y - spec.mean(state.beta1, state.eta1)) ** 2, RESID2_FLOOR)
+    return 0.5 * resid2 * e_other
 
 
 def beta2_conditional(
     state: ChainState,
     spec: ModelSpec,
     data: Dataset,
-    counters: RunCounters | None = None,
-    axes: RotatedDesign | None = None,
+    counters: RunCounters | None,
+    axes: RotatedDesign,
 ) -> CmlgParams:
-    """Assembled cMLG parameters of the variance fixed-effect conditional.
+    """The variance fixed-effect conditional, in ``u = V'beta2``.
 
-    The parameters are those of ``u = V'beta2`` for the axes ``V`` of
-    ``axes``, a ``RotatedDesign`` of ``X2``; of ``beta2`` itself when
-    ``axes`` is None.
+    ``axes`` is the chain's ``RotatedDesign`` of ``X2``; the returned object
+    is its ``params``, rewritten by the block's next conditional.
     """
-    return _variance_conditional(
-        axes if axes is not None else RotatedDesign(spec.X2, np.eye(spec.p2)),
-        state.eta2 @ spec.Psi2.T,
-        math.sqrt(spec.hyper.sigma2_beta2),
-        state, spec, data, counters,
-    )
+    rate = _data_rates(state.eta2 @ spec.Psi2.T, state, spec, data, counters)
+    return axes.update(rate, (spec.hyper.alpha ** -0.5) / math.sqrt(spec.hyper.sigma2_beta2))
 
 
 def eta2_conditional(
     state: ChainState,
     spec: ModelSpec,
     data: Dataset,
-    counters: RunCounters | None = None,
-    axes: RotatedDesign | None = None,
+    counters: RunCounters | None,
+    axes: RotatedDesign,
 ) -> CmlgParams:
-    """Assembled cMLG parameters of the variance random-effect conditional.
+    """The variance random-effect conditional, in ``u = V'eta2``.
 
-    In the coordinates of ``axes`` (a ``RotatedDesign`` of ``Psi2``), like
-    ``beta2_conditional``.
+    ``axes`` is the chain's ``RotatedDesign`` of ``Psi2``, as in
+    ``beta2_conditional``; the prior scale is the current ``sigma_eta2``.
     """
-    return _variance_conditional(
-        axes if axes is not None else RotatedDesign(spec.Psi2, np.eye(spec.r2)),
-        state.beta2 @ spec.X2.T,
-        state.sigma_eta2,
-        state, spec, data, counters,
-    )
+    rate = _data_rates(state.beta2 @ spec.X2.T, state, spec, data, counters)
+    return axes.update(rate, (spec.hyper.alpha ** -0.5) / state.sigma_eta2)
 
 
 def inv_sigma_eta2_conditional(state: ChainState, hyper: Hyperparams) -> CmlgParams:
     """Scalar cMLG parameters for the reciprocal variance-coefficient scale."""
     al = hyper.alpha
     r2 = state.eta2.shape[0]
-    H = np.concatenate([al ** -0.5 * state.eta2, [1.0]])[:, None]
+    HT = np.concatenate([al ** -0.5 * state.eta2, [1.0]])[None, :]
     a = np.concatenate([np.full(r2, al), [hyper.omega]])
     kap = np.concatenate([np.full(r2, al), [hyper.rho]])
-    return CmlgParams(H=H, alpha=a, kappa=kap)
-
-
-def _scan_cmlg_exact(
-    rng: np.random.Generator,
-    params: CmlgParams,
-    x0: np.ndarray,
-    lower: float = -math.inf,
-    squares: np.ndarray | None = None,
-    counters: RunCounters | None = None,
-) -> np.ndarray:
-    """One systematic scan of exact coordinate draws from a cMLG density.
-
-    Each coordinate's conditional is proportional to
-    exp(c_j t - sum_i u_i exp(H_ij t)), which is log-concave; draws use
-    adaptive rejection sampling warm-started at the current value, whose
-    log density, slope and curvature come from one pass over the rows.
-    ``squares``, when given, is ``H' * H'``, already computed by the caller.
-    The whole scan is one call into the compiled kernel (``_scan``);
-    ``oracle.scan_cmlg_reference`` is the same scan in Python.
-    """
-    HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
-    HT2 = HT * HT if squares is None else squares
-    return _scan.scan_cmlg(rng, HT, HT2, params.alpha, params.kappa, x0, lower, counters)
-
-
-def _scan_rotated(
-    rng: np.random.Generator,
-    params: CmlgParams,
-    axes: RotatedDesign,
-    current: np.ndarray,
-    counters: RunCounters | None,
-) -> np.ndarray:
-    """Scan ``u = V'b`` from the current ``b`` along the axes; return ``V u``.
-
-    The envelope seeds use the squares cached in ``axes``.  A rebound
-    builder whose map differed from ``axes.HT`` would only mis-scale those
-    seeds; each draw stays exact.
-    """
-    u = _scan_cmlg_exact(rng, params, axes.V.T @ current, squares=axes.HT2, counters=counters)
-    return axes.V @ u
+    return CmlgParams(HT, a, kap)
 
 
 def fc_beta2(
@@ -512,20 +477,16 @@ def fc_beta2(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    counters: RunCounters | None = None,
-    axes: RotatedDesign | None = None,
+    counters: RunCounters | None,
+    axes: RotatedDesign,
 ) -> np.ndarray:
     """Draw the variance fixed effects along the principal axes of ``X2``.
 
-    ``axes`` is the chain's ``RotatedDesign`` of ``X2``, built here when
-    not given.
+    One scan of ``u = V'beta2`` from the current value, returned as ``V u``;
+    ``axes`` is the chain's ``RotatedDesign`` of ``X2``.
     """
-    if spec.p2 == 0:
-        return np.empty(0)
-    if axes is None:
-        axes = RotatedDesign(spec.X2)
     params = beta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, params, axes, state.beta2, counters)
+    return axes.V @ _scan.scan_cmlg(rng, params, axes.V.T @ state.beta2, counters=counters)
 
 
 def fc_eta2(
@@ -533,19 +494,15 @@ def fc_eta2(
     spec: ModelSpec,
     data: Dataset,
     rng: np.random.Generator,
-    counters: RunCounters | None = None,
-    axes: RotatedDesign | None = None,
+    counters: RunCounters | None,
+    axes: RotatedDesign,
 ) -> np.ndarray:
     """Draw the variance random effects along the principal axes of ``Psi2``.
 
-    No-op for a zero-width block; ``axes`` as in ``fc_beta2``.
+    As ``fc_beta2``, with ``axes`` the chain's ``RotatedDesign`` of ``Psi2``.
     """
-    if spec.r2 == 0:
-        return np.empty(0)
-    if axes is None:
-        axes = RotatedDesign(spec.Psi2)
     params = eta2_conditional(state, spec, data, counters, axes)
-    return _scan_rotated(rng, params, axes, state.eta2, counters)
+    return axes.V @ _scan.scan_cmlg(rng, params, axes.V.T @ state.eta2, counters=counters)
 
 
 def fc_sigma2_eta1(state: ChainState, spec: ModelSpec, rng: np.random.Generator) -> float:
@@ -565,8 +522,7 @@ def fc_inv_sigma_eta2(
     """Truncated scalar cMLG draw of the reciprocal variance-block scale."""
     params = inv_sigma_eta2_conditional(state, hyper)
     current = np.array([max(1.0 / state.sigma_eta2, hyper.trunc_lower)])
-    out = _scan_cmlg_exact(rng, params, current, lower=hyper.trunc_lower, counters=counters)
-    return float(out[0])
+    return float(_scan.scan_cmlg(rng, params, current, hyper.trunc_lower, counters)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +606,8 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
     state = initial_state(spec, data)
     counters = RunCounters()
     # fixed for the whole chain, so every block draw stays an exact Gibbs update
-    beta2_axes = RotatedDesign(spec.X2) if spec.p2 else None
-    eta2_axes = RotatedDesign(spec.Psi2) if spec.r2 else None
+    beta2_axes = RotatedDesign(spec.X2, spec) if spec.p2 else None
+    eta2_axes = RotatedDesign(spec.Psi2, spec) if spec.r2 else None
     draws = {
         name: np.empty((config.n_stored,) + np.shape(getattr(state, name)))
         for name in BLOCKS

@@ -466,7 +466,9 @@ def kappa_doubling(block: str):
     Rebinds ``gibbs.<block>_conditional`` (``block`` is ``beta2``, ``eta2``
     or ``inv_sigma_eta2``) for the body of the ``with`` statement, so every
     chain run there, also in a forked worker process, draws from the
-    corrupted conditional.  The builder is restored on exit.
+    corrupted conditional.  The builder is restored on exit.  Each call
+    returns a new ``CmlgParams`` with the built map and doubled rates, so the
+    conditional that a chain keeps for its block is never changed.
     """
     if block not in ("beta2", "eta2", "inv_sigma_eta2"):
         raise ValueError(f"no conditional builder for block {block!r}")
@@ -475,7 +477,7 @@ def kappa_doubling(block: str):
 
     def doubled(*args, **kwargs):
         p = builder(*args, **kwargs)
-        return CmlgParams(H=p.H, alpha=p.alpha, kappa=2.0 * p.kappa, h_checked=True)
+        return CmlgParams(p.HT, p.alpha, 2.0 * p.kappa, p.HT2)
 
     setattr(gibbs, name, doubled)
     try:
@@ -696,7 +698,7 @@ def cmlg_sample(rng: np.random.Generator, c: CmlgParams) -> np.ndarray:
     """
     g = rng.gamma(c.alpha, 1.0)
     q = np.log(g) - np.log(c.kappa)
-    sol, _, rank, _ = np.linalg.lstsq(c.H, q, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(c.HT.T, q, rcond=None)
     if rank < c.dim:
         raise ValueError(
             f"H is rank-deficient: rank {rank} for {c.dim} columns"
@@ -712,26 +714,28 @@ def scan_cmlg_reference(
     params: CmlgParams,
     x0: np.ndarray,
     lower: float = -math.inf,
-    squares: np.ndarray | None = None,
+    counters: RunCounters | None = None,
 ) -> np.ndarray:
     """The engine's exact cMLG coordinate scan, written in Python.
 
-    The reference that the compiled scan (``gibbs._scan_cmlg_exact``) is
-    checked against: the same envelope algorithm
+    The reference that the compiled scan (``_scan.scan_cmlg``, which takes
+    the same arguments) is checked against: the same envelope algorithm
     (``logconcave.sample_logconcave``), taking the same uniforms from
     ``rng`` in the same order, so the two differ only by the rounding of
     their sums and exponentials.  Each coordinate's conditional is
     proportional to exp(c_j t - sum_i u_i exp(H_ij t)); the current value's
     log density, slope and curvature come from one pass over the rows.
+    ``counters``, when given, gains the draws and the evaluations made past
+    that pass; envelope proposals are counted by the kernel alone.
     """
-    HT = np.ascontiguousarray(params.H.T)  # column j of H as a contiguous row
-    HT2 = HT * HT if squares is None else squares
+    HT, HT2 = params.HT, params.HT2
     a = params.alpha
     x = np.array(x0, dtype=float).reshape(-1)
     logk = np.log(params.kappa)
     zeta = x @ HT
     lin = HT @ a
     exp, add_reduce = np.exp, np.add.reduce
+    evals = [0]
     for j in range(x.shape[0]):
         hj = HT[j]
         t0 = float(x[j])
@@ -739,6 +743,7 @@ def scan_cmlg_reference(
         cj = float(lin[j])
 
         def fg(t, lam=lam, hj=hj, cj=cj):
+            evals[0] += 1
             e = exp(lam + hj * t)
             ssum = float(add_reduce(e))
             if not math.isfinite(ssum):
@@ -755,6 +760,9 @@ def scan_cmlg_reference(
         )
         zeta += hj * (t_new - t0)
         x[j] = t_new
+    if counters is not None:
+        counters.scan_draws += x.shape[0]
+        counters.scan_evals += evals[0]
     return x
 
 
@@ -779,7 +787,7 @@ def cmlg_scalar_tv(
         t = H_col * x
         return float(alpha @ t - kappa @ np.exp(np.minimum(t, 700.0)))
 
-    params = CmlgParams(H=H_col[:, None], alpha=alpha, kappa=kappa)
+    params = CmlgParams(H_col[None, :], alpha, kappa)
     rng = np.random.default_rng(seed)
     samples = np.array([cmlg_sample(rng, params)[0] for _ in range(draws)])
     center = np.median(samples)

@@ -7,7 +7,9 @@ A rename in the package would break ``run_bench.py --trace 1``; this test
 makes it fail here first.  The tracer is imported by path and not edited.
 ``bench/run_bench.py`` imports each name in its ``MODULES`` as
 ``hetgibbs.<name>``; that tuple is read from the file's source, so a moved
-module fails here too.
+module fails here too.  A short chain also runs under the installed
+wrappers, as ``run_bench.py --trace 1`` runs one, so a changed signature or
+call pattern of a traced name fails here as well.
 """
 
 import ast
@@ -16,6 +18,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import hetgibbs.gibbs
+from hetgibbs.oracle import SyntheticShape, generate_synthetic, synthetic_model_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -51,3 +56,18 @@ def bench_modules():
 @pytest.mark.parametrize("mod", bench_modules())
 def test_bench_module_imports(mod):
     importlib.import_module(f"hetgibbs.{mod}")
+
+
+def test_traced_chain_keeps_its_draws():
+    tracing = load_tracing()
+    shape = SyntheticShape(p1=2, p2=2, r1=2, r2=3)
+    data, _ = generate_synthetic(shape, seed=3, n=40)
+    spec = synthetic_model_spec(data, shape)
+    config = hetgibbs.gibbs.GibbsConfig(iterations=12, burn_in=2, seed=5)
+    plain = hetgibbs.gibbs.run_gibbs(spec, data, config)[0].to_matrix()
+    tracer = tracing.Tracer(hetgibbs)
+    with tracer.installed(tracing.GIBBS_TARGETS, draws=True):
+        traced = hetgibbs.gibbs.run_gibbs(spec, data, config)[0].to_matrix()
+    assert traced.tobytes() == plain.tobytes()
+    for name in ("beta2_conditional", "eta2_conditional", "fc_beta2", "fc_eta2"):
+        assert tracer.calls[f"gibbs.{name}"] == config.iterations, name

@@ -66,6 +66,13 @@ class TestLoadCsv:
         assert report["rows"] == 3
         assert list(data.columns["c"]) == ["a", "#2", "a"]
 
+    def test_duplicate_header_rejected(self, tmp_path):
+        # a dict of columns would keep only the last 'x' and still report 3
+        p = tmp_path / "d.csv"
+        write_csv(p, "y,x,x", ["1,2,3", "4,5,6"])
+        with pytest.raises(ValueError, match="column 'x' appears more than once"):
+            load_csv(str(p))
+
     def test_ragged_row_names_file_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("# provenance\n# more provenance\ny,x\n1,2\n3\n")
@@ -277,6 +284,18 @@ class TestCommands:
         assert main(["fit", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert line.split()[0] in err and named in err
+
+    @pytest.mark.parametrize("body, named", [("[esvm]\nenabled = true\nc = -2\n", "[esvm] c"),
+                                             ("[model]\ntrunc_lower = -2\n", "trunc_lower")],
+                             ids=["esvm_c", "model_trunc_lower"])
+    def test_negative_truncation_rejected(self, tmp_path, capsys, body, named):
+        # below 0 the truncated scale draw returns sigma_eta2 <= 0; the key is
+        # named before the (absent) data file is read
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(f"[data]\npath = {tmp_path / 'absent.csv'}\nresponse = ret\n{body}")
+        assert main(["fit", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and ">= 0" in err
 
     @pytest.mark.parametrize("section, line", [("data", "mean_terms = nosuchcol"),
                                                ("model", "var_basis_resolutions = 3")])

@@ -35,6 +35,12 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(b=-1.0)
 
+    @pytest.mark.parametrize("value", [-2.0, -1e-300, float("inf"), float("nan")])
+    def test_trunc_lower_finite_and_nonnegative(self, value):
+        # below 0 the truncated draw of 1/sigma_eta2 can return tau <= 0
+        with pytest.raises(ValueError, match="trunc_lower"):
+            Hyperparams(trunc_lower=value)
+
 
 class TestBuildDesign:
     def test_intercept_only_variance_block(self):

@@ -154,15 +154,28 @@ class TestMeanBlocks:
 
 
 class TestVarianceBlockAssembly:
-    def test_shapes(self):
+    # a chain keeps each variance block's whole conditional in the scan
+    # kernel's layout: HT = [M V; c V]' for the principal axes V of M, with
+    # the shapes and prior rates fixed; a builder rewrites only the data
+    # rates and the prior columns
+    def test_rotated_layout(self):
         n, p2 = 8, 3
         rng = np.random.default_rng(0)
-        spec = make_spec(np.ones((n, 1)), rng.normal(size=(n, p2)))
+        X2 = rng.normal(size=(n, p2))
+        hyper = Hyperparams(alpha=100.0, sigma2_beta2=4.0)
+        spec = make_spec(np.ones((n, 1)), X2, hyper=hyper)
         data = Dataset(y=rng.normal(size=n))
-        params = beta2_conditional(state_for(spec), spec, data)
-        assert params.H.shape == (n + p2, p2)
-        assert params.alpha.shape == (n + p2,)
-        assert params.kappa.shape == (n + p2,)
+        axes = RotatedDesign(X2, spec)
+        V = axes.V
+        assert np.allclose(V.T @ V, np.eye(p2), atol=1e-12)
+        params = beta2_conditional(state_for(spec), spec, data, None, axes)
+        assert params.HT.shape == params.HT2.shape == (p2, n + p2)
+        assert params.HT.flags.c_contiguous and params.HT2.flags.c_contiguous
+        assert params.alpha.shape == params.kappa.shape == (n + p2,)
+        assert np.array_equal(params.HT[:, :n], (X2 @ V).T)
+        c = (hyper.alpha ** -0.5) / math.sqrt(hyper.sigma2_beta2)
+        assert np.array_equal(params.HT[:, n:], c * V.T)
+        assert np.allclose(params.HT2, params.HT * params.HT, rtol=1e-15, atol=0.0)
 
     def test_gaussian_vs_laplace_data_blocks(self):
         n = 5
@@ -175,39 +188,58 @@ class TestVarianceBlockAssembly:
         spec_g = make_spec(np.ones((n, 1)), X2, hyper=hyper)
         data = Dataset(y=y)
         st_g = state_for(spec_g, beta1=[0.0])
-        pg = beta2_conditional(st_g, spec_g, data)
-        assert np.allclose(pg.alpha[:n], 0.5)
+        pg = beta2_conditional(st_g, spec_g, data, None, RotatedDesign(X2, spec_g))
+        assert np.array_equal(pg.alpha[:n], np.full(n, 0.5))
         assert np.allclose(pg.kappa[:n], 0.5 * y**2)       # mu = 0, eta2 empty
 
         spec_l = make_spec(np.ones((n, 1)), X2, likelihood="laplace", hyper=hyper)
         st_l = state_for(spec_l, beta1=[0.0], s=s)
-        pl = beta2_conditional(st_l, spec_l, data)
-        assert np.allclose(pl.alpha[:n], 1.0)
+        pl = beta2_conditional(st_l, spec_l, data, None, RotatedDesign(X2, spec_l))
+        assert np.array_equal(pl.alpha[:n], np.ones(n))
         assert np.allclose(pl.kappa[:n], s)
 
         # prior rows are identical across modes
         for p in (pg, pl):
-            assert np.allclose(p.alpha[n:], hyper.alpha)
-            assert np.allclose(p.kappa[n:], hyper.alpha)
-            assert np.allclose(
-                p.H[n:], (hyper.alpha ** -0.5) / math.sqrt(hyper.sigma2_beta2) * np.eye(2)
-            )
+            assert np.array_equal(p.alpha[n:], [hyper.alpha] * 2)
+            assert np.array_equal(p.kappa[n:], [hyper.alpha] * 2)
+        assert np.array_equal(pg.HT, pl.HT)
 
     def test_eta2_prior_block_uses_current_scale(self):
         n = 4
         rng = np.random.default_rng(2)
         spec = make_spec(np.ones((n, 1)), np.ones((n, 1)), Psi2=rng.normal(size=(n, 2)))
         data = Dataset(y=rng.normal(size=n))
-        st = state_for(spec, sigma_eta2=0.25)
-        pe = eta2_conditional(st, spec, data)
-        expect = (spec.hyper.alpha ** -0.5) / 0.25 * np.eye(2)
-        assert np.allclose(pe.H[n:], expect)
+        axes = RotatedDesign(spec.Psi2, spec)
+        c = spec.hyper.alpha ** -0.5
+        for sigma_eta2 in (0.25, 2.0):
+            pe = eta2_conditional(state_for(spec, sigma_eta2=sigma_eta2), spec, data, None, axes)
+            assert np.allclose(pe.HT[:, n:], c / sigma_eta2 * axes.V.T)
+            assert np.allclose(pe.HT2[:, n:], (c / sigma_eta2 * axes.V.T) ** 2)
+            assert np.array_equal(pe.HT[:, :n], (spec.Psi2 @ axes.V).T)
+
+    def test_builder_returns_the_chain_block(self, monkeypatch):
+        # one conditional object per block and chain, rewritten in place
+        seen = []
+        builder = gibbs.eta2_conditional
+
+        def spy(*args, **kwargs):
+            params = builder(*args, **kwargs)
+            seen.append(params)
+            return params
+
+        monkeypatch.setattr(gibbs, "eta2_conditional", spy)
+        rng = np.random.default_rng(5)
+        n = 20
+        spec = make_spec(np.ones((n, 1)), np.ones((n, 1)), Psi2=rng.normal(size=(n, 3)))
+        run_gibbs(spec, Dataset(y=rng.normal(size=n)), GibbsConfig(iterations=6, burn_in=1, seed=2))
+        assert len(seen) == 6
+        assert all(p is seen[0] for p in seen)
 
     def test_zero_residual_floored_not_raised(self):
         spec = make_spec(np.ones((3, 1)), np.ones((3, 1)))
         data = Dataset(y=np.zeros(3))
         st = state_for(spec, beta1=[0.0])  # exact zero residuals
-        params = beta2_conditional(st, spec, data)
+        params = beta2_conditional(st, spec, data, None, RotatedDesign(spec.X2, spec))
         assert np.all(params.kappa > 0.0)
 
     def test_swap_of_blocks_matches(self):
@@ -223,8 +255,8 @@ class TestVarianceBlockAssembly:
         st_a = state_for(spec_a, beta1=[0.0])
         spec_b = make_spec(np.ones((n, 1)), np.empty((n, 0)), Psi2=M, hyper=hyper)
         st_b = state_for(spec_b, beta1=[0.0], sigma_eta2=2.0)  # matches sqrt(sigma2_beta2)
-        da = fc_beta2(st_a, spec_a, data, np.random.default_rng(11))
-        db = fc_eta2(st_b, spec_b, data, np.random.default_rng(11))
+        da = fc_beta2(st_a, spec_a, data, np.random.default_rng(11), None, RotatedDesign(M, spec_a))
+        db = fc_eta2(st_b, spec_b, data, np.random.default_rng(11), None, RotatedDesign(M, spec_b))
         assert np.allclose(da, db, rtol=1e-12)
 
 
@@ -239,7 +271,8 @@ class TestVarianceBlockLaws:
         data = Dataset(y=y)
         st = state_for(spec, beta1=[0.0])
         rng_d = np.random.default_rng(5)
-        draws = np.array([fc_beta2(st, spec, data, rng_d)[0] for _ in range(4000)])
+        axes = RotatedDesign(spec.X2, spec)
+        draws = np.array([fc_beta2(st, spec, data, rng_d, None, axes)[0] for _ in range(4000)])
         sigma2 = np.exp(-draws)
         ig = stats.invgamma(n / 2.0, scale=0.5 * float(y @ y))
         assert stats.kstest(sigma2, ig.cdf).pvalue > 0.01
@@ -259,8 +292,9 @@ class TestVarianceBlockLaws:
         st = state_for(spec, beta1=[0.0])
         rng_e = np.random.default_rng(7)
         rng_p = np.random.default_rng(8)
-        exact = np.array([fc_beta2(st, spec, data, rng_e)[0] for _ in range(3000)])
-        params = beta2_conditional(st, spec, data)
+        axes = RotatedDesign(spec.X2, spec)
+        exact = np.array([fc_beta2(st, spec, data, rng_e, None, axes)[0] for _ in range(3000)])
+        params = beta2_conditional(st, spec, data, None, axes)
         proj = np.array([cmlg_sample(rng_p, params)[0] for _ in range(3000)])
         ratio = proj.var() / exact.var()
         assert 1.8 < ratio < 3.2
@@ -288,24 +322,26 @@ class TestVarianceBlockLaws:
 
         def spy(*args, **kwargs):
             params = builder(*args, **kwargs)
-            seen.append(params.H.shape)
+            seen.append(params.HT.shape)
             return params
 
         monkeypatch.setattr(gibbs, "beta2_conditional", spy)
         spec = make_spec(np.ones((6, 1)), np.ones((6, 1)))
         data = Dataset(y=np.random.default_rng(0).normal(size=6))
-        fc_beta2(state_for(spec, beta1=[0.0]), spec, data, np.random.default_rng(1))
-        assert seen == [(7, 1)]
+        fc_beta2(state_for(spec, beta1=[0.0]), spec, data, np.random.default_rng(1), None,
+                 RotatedDesign(spec.X2, spec))
+        assert seen == [(1, 7)]
 
 
 class TestRotatedScan:
     @pytest.mark.parametrize("turn", ["as_computed", "proper_rotation"])
-    def test_rotated_scan_matches_grid_conditional(self, turn):
+    def test_rotated_scan_matches_grid_conditional(self, turn, monkeypatch):
         # two nearly collinear columns make the beta2 conditional a ridge
         # (posterior correlation about -0.97); a scan along the principal
         # axes of X2 must still draw it exactly.  A 2x2 reflection is
         # symmetric, so V and V' coincide; with one axis flipped to make V a
-        # proper rotation, a V used where V' belongs would show
+        # proper rotation (by turning what eigh returns), a V used where V'
+        # belongs would show
         rng = np.random.default_rng(20)
         n = 30
         x = rng.standard_normal(n)
@@ -314,12 +350,18 @@ class TestRotatedScan:
         al, sd = 5.0, 1.0
         spec = make_spec(np.ones((n, 1)), X2, hyper=Hyperparams(alpha=al, sigma2_beta2=sd**2))
         data = Dataset(y=y)
-        axes = RotatedDesign(X2)
         if turn == "proper_rotation":
-            V = axes.V * [np.linalg.det(axes.V), 1.0]
-            assert not np.allclose(V, V.T)
-            axes = RotatedDesign(X2, V)
+            eigh = np.linalg.eigh
+
+            def turned(a):
+                w, V = eigh(a)
+                return w, V * [np.linalg.det(V), 1.0]
+
+            monkeypatch.setattr(np.linalg, "eigh", turned)
+        axes = RotatedDesign(X2, spec)
         V0 = axes.V.copy()
+        if turn == "proper_rotation":
+            assert not np.allclose(V0, V0.T) and np.linalg.det(V0) > 0.0
         assert np.allclose(V0.T @ V0, np.eye(2), atol=1e-12)
 
         # successive scans are nearly independent along these axes (lag-1
@@ -328,7 +370,7 @@ class TestRotatedScan:
         rng_d = np.random.default_rng(22)
         draws = []
         for i in range(100 + 6000):
-            st.beta2 = fc_beta2(st, spec, data, rng_d, axes=axes)
+            st.beta2 = fc_beta2(st, spec, data, rng_d, None, axes)
             if i >= 100:
                 draws.append(st.beta2)
         draws = np.array(draws)
@@ -376,7 +418,7 @@ class TestScaleBlocks:
         spec = make_spec(np.ones((4, 1)), np.ones((4, 1)), Psi2=np.ones((4, 3)))
         st = state_for(spec, eta2=[0.1, -0.2, 0.3])
         params = inv_sigma_eta2_conditional(st, hyper)
-        assert params.H.shape == (4, 1)
+        assert params.HT.shape == (1, 4)
         rng = np.random.default_rng(11)
         draws = np.array([fc_inv_sigma_eta2(st, hyper, rng) for _ in range(2000)])
         assert draws.min() > 0.0
@@ -578,3 +620,6 @@ class TestRunGibbs:
             GibbsConfig(iterations=10, burn_in=10)
         with pytest.raises(ValueError):
             GibbsConfig(thin=0)
+        # a run that would store no draw
+        with pytest.raises(ValueError, match=r"thin \(10\).*iterations - burn_in \(10 - 5\)"):
+            GibbsConfig(iterations=10, burn_in=5, thin=10)

@@ -143,7 +143,7 @@ class TestCmlgSampling:
     def test_two_row_projection_mean(self):
         # projection of two unit log-gammas: mean is digamma(1), not the
         # density-normalized conditional's mean
-        c = CmlgParams(H=[[1.0], [1.0]], alpha=[1.0, 1.0], kappa=[1.0, 1.0])
+        c = CmlgParams(HT=[[1.0, 1.0]], alpha=[1.0, 1.0], kappa=[1.0, 1.0])
         rng = np.random.default_rng(7)
         draws = np.array([cmlg_sample(rng, c)[0] for _ in range(100_000)])
         assert abs(draws.mean() - digamma(1.0)) < 0.01
@@ -151,26 +151,26 @@ class TestCmlgSampling:
     def test_identity_map_equals_mlg_sample(self):
         a = np.array([0.5, 2.0, 1.0])
         k = np.array([1.0, 0.3, 2.0])
-        c = CmlgParams(H=np.eye(3), alpha=a, kappa=k)
+        c = CmlgParams(HT=np.eye(3), alpha=a, kappa=k)
         p = MlgParams(np.zeros(3), np.eye(3), a, k)
         x = cmlg_sample(np.random.default_rng(8), c)
         y = mlg_sample(np.random.default_rng(8), p)
         assert np.allclose(x, y, rtol=1e-12)
 
     def test_rank_deficient_names_columns(self):
-        c = CmlgParams(H=[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], alpha=np.ones(3), kappa=np.ones(3))
+        c = CmlgParams(HT=[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], alpha=np.ones(3), kappa=np.ones(3))
         with pytest.raises(ValueError, match="2 columns"):
             cmlg_sample(np.random.default_rng(0), c)
 
     def test_wide_h_rejected(self):
         with pytest.raises(ValueError):
-            CmlgParams(H=[[1.0, 2.0]], alpha=[1.0], kappa=[1.0])
+            CmlgParams(HT=[[1.0], [2.0]], alpha=[1.0], kappa=[1.0])
 
 
 class TestTruncatedSampling:
     def test_acceptance_probability_exp_tail(self):
         # P(log Gamma(1,1) > 0) = exp(-1)
-        c = CmlgParams(H=[[1.0]], alpha=[1.0], kappa=[1.0])
+        c = CmlgParams(HT=[[1.0]], alpha=[1.0], kappa=[1.0])
         rng = np.random.default_rng(12)
         draws = np.array([cmlg_sample(rng, c)[0] for _ in range(30_000)])
         assert abs((draws > 0).mean() - math.exp(-1.0)) < 0.01

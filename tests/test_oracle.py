@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hetgibbs import gibbs
+from hetgibbs import _scan, gibbs
 from hetgibbs.design import Hyperparams
-from hetgibbs.gibbs import ChainState
+from hetgibbs.gibbs import ChainState, GibbsConfig
 from hetgibbs.oracle import (
     GridOracle,
     MassEscapeError,
@@ -204,6 +204,42 @@ class TestRankMachinery:
         with pytest.raises(ValueError, match="sigma2_eta1"):
             with kappa_doubling("sigma2_eta1"):
                 pass
+
+
+    def test_kappa_doubling_leaves_the_chain_block(self, monkeypatch):
+        # each call doubles the rates the chain's block holds, never the
+        # rates a previous call doubled, and the block itself keeps them
+        shape = SyntheticShape(p1=1, p2=2, r2=3)
+        data, _ = generate_synthetic(shape, seed=8, n=30)
+        hyper = Hyperparams(alpha=50.0)
+        spec = synthetic_model_spec(data, shape, hyper)
+        config = GibbsConfig(iterations=10, burn_in=2, seed=4)
+
+        def digest():
+            return gibbs.run_gibbs(spec, data, config)[0].to_matrix().tobytes()
+
+        plain = digest()
+        blocks, prior_rates = [], []
+        builder, scan = gibbs.eta2_conditional, _scan.scan_cmlg
+
+        def keep_block(*args, **kwargs):
+            blocks.append(builder(*args, **kwargs))
+            return blocks[-1]
+
+        def record(rng, params, *args, **kwargs):
+            if params.dim == 3:  # the eta2 scan
+                prior_rates.append(params.kappa[-3:].copy())
+            return scan(rng, params, *args, **kwargs)
+
+        monkeypatch.setattr(gibbs, "eta2_conditional", keep_block)
+        monkeypatch.setattr(_scan, "scan_cmlg", record)
+        with kappa_doubling("eta2"):
+            digest()
+        assert len(prior_rates) == config.iterations
+        for rates in prior_rates:
+            assert np.array_equal(rates, np.full(3, 2.0 * hyper.alpha))
+        assert np.array_equal(blocks[-1].kappa[-3:], np.full(3, hyper.alpha))
+        assert digest() == plain
 
 
 class TestSbcVarianceRandomEffects:

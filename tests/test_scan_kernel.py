@@ -1,11 +1,11 @@
 """The compiled cMLG coordinate scan: its law, its stream and its build.
 
-``gibbs._scan_cmlg_exact`` runs the whole scan in ``_scan.c``;
-``oracle.scan_cmlg_reference`` is the same scan in Python.  From the same
-seed both take the same uniforms in the same order, so on the same
-conditional their draws differ only by the rounding of the kernel's serial
-sums and its own ``exp`` (``hg_exp``, within an ulp of numpy's) against
-numpy's.  ``TOL`` was set from a measurement: over the three conditionals
+``_scan.scan_cmlg`` runs the whole scan in ``_scan.c``;
+``oracle.scan_cmlg_reference`` is the same scan in Python, with the same
+arguments.  From the same seed both take the same uniforms in the same order
+and make the same evaluations, so on the same conditional their draws
+differ only by the rounding of the kernel's serial sums and its own ``exp``
+(``hg_exp``, within an ulp of numpy's) against numpy's.  ``TOL`` was set from a measurement: over the three conditionals
 below the largest difference was 9.7e-12 and 3.7e-12 (the Gaussian and
 Laplace η2 blocks) and 0 (the truncated scale).  The exponential is checked
 against ``np.exp`` on its own, and the build without vector-width clones
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from hetgibbs import _scan, gibbs
-from hetgibbs.design import Hyperparams
+from hetgibbs.design import Hyperparams, RunCounters
 from hetgibbs.gibbs import CmlgParams, GibbsConfig, RotatedDesign, run_gibbs
 from hetgibbs.logconcave import LogConcaveError
 from hetgibbs.oracle import SyntheticShape, generate_synthetic, scan_cmlg_reference, synthetic_model_spec
@@ -42,9 +42,9 @@ def state_at_truth(shape, hyper):
 def eta2_case(likelihood):
     shape = SyntheticShape(p1=2, p2=2, r1=2, r2=6, likelihood=likelihood, collinear=0.8)
     spec, data, state = state_at_truth(shape, Hyperparams())
-    axes = RotatedDesign(spec.Psi2)
+    axes = RotatedDesign(spec.Psi2, spec)
     params = gibbs.eta2_conditional(state, spec, data, None, axes)
-    return params, axes.V.T @ state.eta2, -np.inf, axes.HT2
+    return params, axes.V.T @ state.eta2, -np.inf
 
 
 def tau_case():
@@ -52,21 +52,24 @@ def tau_case():
     hyper = Hyperparams(trunc_lower=7.0)
     _, _, state = state_at_truth(shape, hyper)
     params = gibbs.inv_sigma_eta2_conditional(state, hyper)
-    return params, np.array([max(1.0 / state.sigma_eta2, 7.0)]), 7.0, None
+    return params, np.array([max(1.0 / state.sigma_eta2, 7.0)]), 7.0
 
 
-@pytest.mark.parametrize("case", ["rotated_eta2", "laplace_eta2", "truncated_tau"])
+CASES = {
+    "rotated_eta2": lambda: eta2_case("gaussian"),
+    "laplace_eta2": lambda: eta2_case("laplace"),
+    "truncated_tau": tau_case,
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
 def test_kernel_matches_python_reference(case):
-    params, x0, lower, squares = {
-        "rotated_eta2": lambda: eta2_case("gaussian"),
-        "laplace_eta2": lambda: eta2_case("laplace"),
-        "truncated_tau": tau_case,
-    }[case]()
+    params, x0, lower = CASES[case]()
     worst = 0.0
     for seed in range(SCANS):
         rng_k, rng_r = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = gibbs._scan_cmlg_exact(rng_k, params, x0, lower=lower, squares=squares)
-        ref = scan_cmlg_reference(rng_r, params, x0, lower=lower, squares=squares)
+        got = _scan.scan_cmlg(rng_k, params, x0, lower)
+        ref = scan_cmlg_reference(rng_r, params, x0, lower)
         worst = max(worst, float(np.max(np.abs(got - ref))))
         # the same uniforms were taken: both streams stand at the same place
         assert rng_k.bit_generator.state == rng_r.bit_generator.state
@@ -74,15 +77,28 @@ def test_kernel_matches_python_reference(case):
     assert worst <= TOL
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_kernel_and_reference_count_the_same_work(case):
+    # both count each coordinate draw and each evaluation past the current
+    # value's pass
+    params, x0, lower = CASES[case]()
+    kernel, reference = RunCounters(), RunCounters()
+    for seed in range(200):
+        _scan.scan_cmlg(np.random.default_rng(seed), params, x0, lower, kernel)
+        scan_cmlg_reference(np.random.default_rng(seed), params, x0, lower, reference)
+    assert kernel.scan_draws == reference.scan_draws == 200 * x0.shape[0]
+    assert kernel.scan_evals == reference.scan_evals > 0
+
+
 def test_kernel_failure_raises_the_reference_error():
     # exp overflows at the current value and at every point pulled back
     # toward it, so neither scan finds a finite tangent
-    params = CmlgParams(H=[[1000.0]], alpha=[1.0], kappa=[1.0])
+    params = CmlgParams([[1000.0]], [1.0], [1.0])
     x0 = np.array([1.0])
     with pytest.raises(LogConcaveError, match="could not locate a finite region"):
         scan_cmlg_reference(np.random.default_rng(0), params, x0)
     with pytest.raises(LogConcaveError, match=r"could not locate a finite region .*coordinate 0"):
-        gibbs._scan_cmlg_exact(np.random.default_rng(0), params, x0)
+        _scan.scan_cmlg(np.random.default_rng(0), params, x0)
 
 
 def test_flags_keep_the_draws_deterministic():
@@ -127,12 +143,11 @@ def test_exp_special_values():
 def test_clones_off_give_the_same_bits(tmp_path, monkeypatch):
     # the dispatched build runs the exp loop at the widest vector width the
     # CPU has; the build without clones runs the plain loop
-    params, x0, lower, squares = eta2_case("gaussian")
+    params, x0, lower = eta2_case("gaussian")
     x = np.linspace(-745.2, 709.78, 100_001)
 
     def run():
-        draws = [gibbs._scan_cmlg_exact(np.random.default_rng(seed), params, x0, lower=lower,
-                                        squares=squares) for seed in range(200)]
+        draws = [_scan.scan_cmlg(np.random.default_rng(seed), params, x0, lower) for seed in range(200)]
         return b"".join(d.tobytes() for d in draws), kernel_exp(x).tobytes()
 
     dispatched = run()
