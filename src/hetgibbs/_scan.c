@@ -1,6 +1,7 @@
 /*
  * One systematic scan of exact coordinate draws from a cMLG density
- * proportional to exp(alpha' H x - kappa' exp(H x)).
+ * proportional to exp(alpha' H x - kappa' exp(H x)), given as (HT, alpha,
+ * kappa) with HT = H'; the curvature pass squares HT itself.
  *
  * Each coordinate's conditional exp(c_j t - sum_i kappa_i exp(H_ij t + ...))
  * is log-concave and is drawn by adaptive rejection sampling with the
@@ -511,16 +512,14 @@ static int draw(coord_t *c, hull_t *hl, double lower, double x0, double scale,
 /* ------------------------------------------------------------ the scan */
 
 /*
- * HT and HT2 are k x m, row-major: H' and its elementwise square.  alpha
- * and kappa have m entries.  x (k entries) holds the current value on entry
- * and the new draw on return.  info[0] receives the failing coordinate;
- * info[1], info[2] and info[3] are incremented by the coordinate draws
- * started, the log-density evaluations made and the envelope proposals
- * drawn.  Returns SCAN_OK or a failure code.
+ * HT is H', k x m, row-major; alpha and kappa have m entries.  x (k entries)
+ * holds the current value on entry and the new draw on return.  info[0]
+ * receives the failing coordinate; info[1], info[2] and info[3] are
+ * incremented by the coordinate draws started, the log-density evaluations
+ * made and the envelope proposals drawn.  Returns SCAN_OK or a failure code.
  */
-int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
-                 const double *alpha, const double *kappa, double *x,
-                 double lower, bitgen_t *rng, long long *info)
+int hg_scan_cmlg(long k, long m, const double *HT, const double *alpha, const double *kappa,
+                 double *x, double lower, bitgen_t *rng, long long *info)
 {
     double *w = malloc((size_t)m * sizeof(double));
     double *e = malloc((size_t)m * sizeof(double));
@@ -546,7 +545,7 @@ int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
        terms at the updated w_i = w_i + hj_i d */
     int e_current = 0;
     for (long j = 0; j < k; j++) {
-        const double *hj = HT + j * m, *hj2 = HT2 + j * m;
+        const double *hj = HT + j * m;
         double cj = 0.0;
         for (long i = 0; i < m; i++)
             cj += hj[i] * alpha[i];
@@ -557,7 +556,7 @@ int hg_scan_cmlg(long k, long m, const double *HT, const double *HT2,
         for (long i = 0; i < m; i++) {
             s0 += e[i];
             dot += e[i] * hj[i];
-            curv += e[i] * hj2[i];
+            curv += e[i] * (hj[i] * hj[i]);
         }
         double scale = (isfinite(curv) && curv > 0.0) ? 1.0 / sqrt(curv) : 1.0;
         scale = PYMIN(scale, 1e3);

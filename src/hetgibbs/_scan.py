@@ -125,7 +125,7 @@ def load():
         lib = ctypes.CDLL(str(_build()))
         fn = lib.hg_scan_cmlg
         fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 5 + [
+        fn.argtypes = [ctypes.c_long, ctypes.c_long] + [ctypes.c_void_p] * 4 + [
             ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
         exp_array = lib.hg_exp_array
         exp_array.restype = None
@@ -138,30 +138,30 @@ def scan_cmlg(rng: np.random.Generator, params, x0, lower: float = -math.inf,
               counters=None) -> np.ndarray:
     """One systematic scan of exact coordinate draws; returns the new ``x``.
 
-    ``params`` is a ``gibbs.CmlgParams``: ``HT`` is ``H'`` and ``HT2`` its
-    elementwise square, each ``k x m``; ``alpha`` and ``kappa`` have ``m``
-    entries.  Each coordinate's conditional is proportional to
-    exp(c_j t - sum_i u_i exp(H_ij t)), log-concave, and is drawn by adaptive
-    rejection sampling warm-started at the current value, whose log density,
-    slope and curvature come from one pass over the rows.  Uniforms are taken
-    from ``rng``'s bit generator exactly as ``rng.random()`` would take them.
-    ``counters``, when given, gains the draws, evaluations and envelope
-    proposals made.  ``oracle.scan_cmlg_reference`` is the same scan in
-    Python.
+    ``params`` is a ``gibbs.CmlgParams`` ``(HT, alpha, kappa)``: ``HT`` is
+    ``H'``, ``k x m``, and ``alpha`` and ``kappa`` have ``m`` entries.  Each
+    coordinate's conditional is proportional to exp(c_j t - sum_i u_i
+    exp(H_ij t)), log-concave, and is drawn by adaptive rejection sampling
+    warm-started at the current value, whose log density, slope and
+    curvature come from one pass over the rows; the kernel squares ``HT``
+    itself for the curvature.  Uniforms are taken from ``rng``'s bit
+    generator exactly as ``rng.random()`` would take them.  ``counters``,
+    when given, gains the draws, evaluations and envelope proposals made.
+    ``oracle.scan_cmlg_reference`` is the same scan in Python.
     """
     fn = load().hg_scan_cmlg
     arrays = [np.ascontiguousarray(a, dtype=np.float64)
-              for a in (params.HT, params.HT2, params.alpha, params.kappa)]
+              for a in (params.HT, params.alpha, params.kappa)]
     x = np.array(x0, dtype=np.float64).reshape(-1)
     k, m = arrays[0].shape
-    if arrays[1].shape != (k, m) or arrays[2].shape != (m,) or arrays[3].shape != (m,) or x.shape != (k,):
+    if arrays[1].shape != (m,) or arrays[2].shape != (m,) or x.shape != (k,):
         raise ValueError("scan inputs have mismatched shapes")
     info = np.zeros(4, dtype=np.int64)
     # the arrays stay referenced here until the call returns
     pointers = [a.__array_interface__["data"][0] for a in (*arrays, x, info)]
     bitgen = rng.bit_generator
     with bitgen.lock:
-        status = fn(k, m, *pointers[:5], lower, bitgen.ctypes.bit_generator.value, pointers[5])
+        status = fn(k, m, *pointers[:4], lower, bitgen.ctypes.bit_generator.value, pointers[4])
     if counters is not None:
         counters.scan_draws += int(info[1])
         counters.scan_evals += int(info[2])

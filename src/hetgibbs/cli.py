@@ -154,9 +154,9 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
     (empty cells become NaN); everything else becomes categorical (empty
     cells become missing).  A row of empty cells is a row of missing values;
     lines starting with ``#`` before the header (provenance comments) and
-    blank lines are skipped.  Ragged rows, reported by their line in the
-    file, a column name repeated in the header, and header-only files are
-    errors.
+    blank lines are skipped.  Header names are stripped as cells are.  Ragged
+    rows, reported by their line in the file, a column name repeated in the
+    header, and header-only files are errors.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -165,7 +165,7 @@ def load_csv(path: str) -> tuple[Dataset, dict]:
         for row in reader:
             if row and row[0].lstrip().startswith("#"):
                 continue  # provenance comment lines from this package's writers
-            header = row
+            header = [name.strip() for name in row]
             break
         if header is None:
             raise ValueError(f"{path} is empty")

@@ -28,21 +28,18 @@ unchanged.  The chain keeps each block's whole rotated conditional, with map
 ``[M V; c V]``, in the kernel's layout (``RotatedDesign``); each call of its
 builder (``beta2_conditional``, ``eta2_conditional``) rewrites only the
 ``n`` data rates and the ``k`` prior columns and hands that object to the
-kernel.  The ``fc_*`` updates and the builders are module globals looked up
-per call, so a negative control (``oracle.kappa_doubling``) or a tracer can
-rebind them from outside.
-
-The least-squares projection recipe once offered beside the exact scan
-inflates the conditional variance of these data-augmented maps (about 2.5x
-for an intercept-only variance block); it survives only as
-``oracle.cmlg_sample``, the subject of the total-variation study in
-``oracle.cmlg_scalar_tv``.
+kernel.  The scalar block of the reciprocal scale ``1/sigma_eta2`` is kept
+the same way (``inv_sigma_eta2_block``); its builder rewrites only the map
+entries of ``eta2``.  The ``fc_*`` updates and the builders are module
+globals looked up per call, so a negative control (``oracle.kappa_doubling``)
+or a tracer can rebind them from outside.
 
 ``CmlgParams`` is the form every variance-side builder returns and the
 kernel reads: a cMLG density proportional to
-``exp(alpha' H x - kappa' exp(H x))`` for a tall map ``H``, held as ``HT = H'``
-with its squares.  The MLG law itself lives in ``hetgibbs.oracle``, which
-the sampler never imports.
+``exp(alpha' H x - kappa' exp(H x))`` for a tall map ``H``, held as
+``(HT, alpha, kappa)`` with ``HT = H'``; the kernel squares ``HT`` itself.
+The MLG law itself lives in ``hetgibbs.oracle``, which the sampler never
+imports.
 """
 
 from __future__ import annotations
@@ -79,6 +76,7 @@ __all__ = [
     "fc_s",
     "beta2_conditional",
     "eta2_conditional",
+    "inv_sigma_eta2_block",
     "inv_sigma_eta2_conditional",
     "gaussian_conditional",
     "inverse_gaussian_sample",
@@ -108,23 +106,22 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 @dataclass
 class CmlgParams:
-    """A conditional MLG in the scan kernel's layout: map, squares, shapes, rates.
+    """A conditional MLG in the scan kernel's layout: ``(HT, alpha, kappa)``.
 
     The density is proportional to ``exp(alpha' H x - kappa' exp(H x))`` for
-    the tall map ``H = HT'``; ``HT`` is ``k x m`` with ``m >= k``, and ``HT2``
-    is ``HT * HT``, computed when not given.  Any location offset is assumed
-    absorbed into ``kappa`` (the form in which every model conditional
-    arrives), so no separate offset is kept.  Everything is validated once,
-    here; a builder that later rewrites entries in place
-    (``RotatedDesign.update``) keeps them valid itself.  Full column rank of
-    ``H`` is verified where it is available for free (``oracle.cmlg_sample``'s
-    solve).
+    the tall map ``H = HT'``; ``HT`` is ``k x m`` with ``m >= k``, and the
+    kernel derives the squares of ``HT`` that its curvature pass needs.  Any
+    location offset is assumed absorbed into ``kappa`` (the form in which
+    every model conditional arrives), so no separate offset is kept.
+    Everything is validated once, here; a builder that later rewrites entries
+    in place (``RotatedDesign.update``, ``inv_sigma_eta2_conditional``) keeps
+    them valid itself.  Full column rank of ``H`` is verified where it is
+    available for free (``oracle.cmlg_sample``'s solve).
     """
 
     HT: np.ndarray
     alpha: np.ndarray
     kappa: np.ndarray
-    HT2: np.ndarray | None = None
 
     def __post_init__(self):
         self.HT = np.ascontiguousarray(np.atleast_2d(np.asarray(self.HT, dtype=float)))
@@ -143,12 +140,6 @@ class CmlgParams:
             raise ValueError("alpha and kappa must be strictly positive")
         if not np.all(np.isfinite(self.HT)):
             raise ValueError("HT must be finite")
-        if self.HT2 is None:
-            self.HT2 = self.HT * self.HT
-        else:
-            self.HT2 = np.ascontiguousarray(self.HT2, dtype=float)
-            if self.HT2.shape != self.HT.shape:
-                raise ValueError("HT2 must have the shape of HT")
 
     @property
     def dim(self) -> int:
@@ -372,7 +363,7 @@ class RotatedDesign:
     ``M`` (``n x k``), and is read-only.  In the coordinates ``u = V'b`` the
     block's cMLG map is ``[M V; c V]``, where ``c`` is the scale of the
     isotropic prior rows ``c I``.  ``params`` holds the conditional in the
-    scan kernel's layout: ``HT = [M V; c V]'`` and its squares, each
+    scan kernel's layout ``(HT, alpha, kappa)``: ``HT = [M V; c V]'``,
     ``k x (n + k)``; the shapes, 1/2 (Gaussian ``spec``) or 1 (Laplace) for
     the data rows and alpha for the prior rows; and the rates, alpha for the
     prior rows.  ``update`` rewrites only the ``n`` data rates and the ``k``
@@ -388,11 +379,9 @@ class RotatedDesign:
         _, V = np.linalg.eigh(M.T @ M)
         V.flags.writeable = False
         self.n, self.V = n, V
-        self._VT = np.ascontiguousarray(V.T)
-        self._VT2 = self._VT * self._VT
         HT = np.empty((k, n + k))
         HT[:, :n] = (M @ V).T
-        HT[:, n:] = self._VT  # prior scale 1 until the first update
+        HT[:, n:] = V.T  # prior scale 1 until the first update
         alpha = spec.hyper.alpha
         shape = 1.0 if spec.likelihood == "laplace" else 0.5
         self.params = CmlgParams(
@@ -405,8 +394,7 @@ class RotatedDesign:
             raise ValueError(f"prior scale of the variance block is not finite: {c!r}")
         p, n = self.params, self.n
         np.maximum(rate, RATE_FLOOR, out=p.kappa[:n])
-        np.multiply(self._VT, c, out=p.HT[:, n:])
-        np.multiply(self._VT2, c * c, out=p.HT2[:, n:])
+        np.multiply(self.V.T, c, out=p.HT[:, n:])
         return p
 
 
@@ -462,14 +450,26 @@ def eta2_conditional(
     return axes.update(rate, (spec.hyper.alpha ** -0.5) / state.sigma_eta2)
 
 
-def inv_sigma_eta2_conditional(state: ChainState, hyper: Hyperparams) -> CmlgParams:
-    """Scalar cMLG parameters for the reciprocal variance-coefficient scale."""
-    al = hyper.alpha
-    r2 = state.eta2.shape[0]
-    HT = np.concatenate([al ** -0.5 * state.eta2, [1.0]])[None, :]
-    a = np.concatenate([np.full(r2, al), [hyper.omega]])
-    kap = np.concatenate([np.full(r2, al), [hyper.rho]])
-    return CmlgParams(HT, a, kap)
+def inv_sigma_eta2_block(hyper: Hyperparams, r2: int) -> CmlgParams:
+    """The scalar cMLG block of ``1/sigma_eta2``, built once per chain.
+
+    ``HT`` is ``1 x (r2 + 1)``, all ones until ``inv_sigma_eta2_conditional``
+    writes ``alpha^{-1/2} eta2`` into its first ``r2`` entries; the last, the
+    prior row's, stays 1.  The shapes are ``[alpha..., omega]`` and the rates
+    ``[alpha..., rho]``.
+    """
+    prior = np.full(r2, hyper.alpha)
+    return CmlgParams(np.ones((1, r2 + 1)), np.append(prior, hyper.omega), np.append(prior, hyper.rho))
+
+
+def inv_sigma_eta2_conditional(state: ChainState, hyper: Hyperparams, block: CmlgParams) -> CmlgParams:
+    """Scalar cMLG conditional of the reciprocal variance-coefficient scale.
+
+    Writes ``alpha^{-1/2} eta2`` into the chain's ``block``
+    (``inv_sigma_eta2_block``) and returns it.
+    """
+    np.multiply(state.eta2, hyper.alpha ** -0.5, out=block.HT[0, :-1])
+    return block
 
 
 def fc_beta2(
@@ -517,10 +517,14 @@ def fc_inv_sigma_eta2(
     state: ChainState,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    counters: RunCounters | None = None,
+    counters: RunCounters | None,
+    block: CmlgParams,
 ) -> float:
-    """Truncated scalar cMLG draw of the reciprocal variance-block scale."""
-    params = inv_sigma_eta2_conditional(state, hyper)
+    """Truncated scalar cMLG draw of the reciprocal variance-block scale.
+
+    ``block`` is the chain's ``inv_sigma_eta2_block``.
+    """
+    params = inv_sigma_eta2_conditional(state, hyper, block)
     current = np.array([max(1.0 / state.sigma_eta2, hyper.trunc_lower)])
     return float(_scan.scan_cmlg(rng, params, current, hyper.trunc_lower, counters)[0])
 
@@ -608,6 +612,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
     # fixed for the whole chain, so every block draw stays an exact Gibbs update
     beta2_axes = RotatedDesign(spec.X2, spec) if spec.p2 else None
     eta2_axes = RotatedDesign(spec.Psi2, spec) if spec.r2 else None
+    tau_block = inv_sigma_eta2_block(spec.hyper, spec.r2) if spec.r2 else None
     draws = {
         name: np.empty((config.n_stored,) + np.shape(getattr(state, name)))
         for name in BLOCKS
@@ -638,7 +643,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed:
                 state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
             if spec.r2:
                 block = "inv_sigma_eta2"
-                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, counters)
+                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, counters, tau_block)
         except Exception as exc:
             raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:

@@ -477,7 +477,7 @@ def kappa_doubling(block: str):
 
     def doubled(*args, **kwargs):
         p = builder(*args, **kwargs)
-        return CmlgParams(p.HT, p.alpha, 2.0 * p.kappa, p.HT2)
+        return CmlgParams(p.HT, p.alpha, 2.0 * p.kappa)
 
     setattr(gibbs, name, doubled)
     try:
@@ -728,7 +728,7 @@ def scan_cmlg_reference(
     ``counters``, when given, gains the draws and the evaluations made past
     that pass; envelope proposals are counted by the kernel alone.
     """
-    HT, HT2 = params.HT, params.HT2
+    HT = params.HT
     a = params.alpha
     x = np.array(x0, dtype=float).reshape(-1)
     logk = np.log(params.kappa)
@@ -752,7 +752,7 @@ def scan_cmlg_reference(
 
         e0 = exp(lam + hj * t0)
         s0 = float(add_reduce(e0))
-        curv = float(e0 @ HT2[j])
+        curv = float(e0 @ (hj * hj))
         scale = 1.0 / math.sqrt(curv) if (math.isfinite(curv) and curv > 0.0) else 1.0
         first = (cj * t0 - s0, cj - float(e0 @ hj)) if math.isfinite(s0) else None
         t_new = sample_logconcave(

@@ -69,5 +69,5 @@ def test_traced_chain_keeps_its_draws():
     with tracer.installed(tracing.GIBBS_TARGETS, draws=True):
         traced = hetgibbs.gibbs.run_gibbs(spec, data, config)[0].to_matrix()
     assert traced.tobytes() == plain.tobytes()
-    for name in ("beta2_conditional", "eta2_conditional", "fc_beta2", "fc_eta2"):
+    for name in ("beta2_conditional", "eta2_conditional", "fc_beta2", "fc_eta2", "fc_inv_sigma_eta2"):
         assert tracer.calls[f"gibbs.{name}"] == config.iterations, name

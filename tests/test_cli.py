@@ -73,6 +73,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="column 'x' appears more than once"):
             load_csv(str(p))
 
+    def test_header_names_stripped(self, tmp_path):
+        # names are stripped as cells are, also before the repeated-name check
+        p = tmp_path / "d.csv"
+        write_csv(p, "y, x", ["1, 2", "3, 4"])
+        data, _ = load_csv(str(p))
+        assert sorted(data.columns) == ["x", "y"]
+        assert np.array_equal(data.columns["x"], [2.0, 4.0])
+        write_csv(p, "x, x", ["1, 2"])
+        with pytest.raises(ValueError, match="column 'x' appears more than once"):
+            load_csv(str(p))
+
     def test_ragged_row_names_file_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("# provenance\n# more provenance\ny,x\n1,2\n3\n")

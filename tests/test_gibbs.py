@@ -24,6 +24,7 @@ from hetgibbs.gibbs import (
     fc_sigma2_eta1,
     gaussian_conditional,
     initial_state,
+    inv_sigma_eta2_block,
     inv_sigma_eta2_conditional,
     inverse_gaussian_sample,
     run_gibbs,
@@ -169,13 +170,12 @@ class TestVarianceBlockAssembly:
         V = axes.V
         assert np.allclose(V.T @ V, np.eye(p2), atol=1e-12)
         params = beta2_conditional(state_for(spec), spec, data, None, axes)
-        assert params.HT.shape == params.HT2.shape == (p2, n + p2)
-        assert params.HT.flags.c_contiguous and params.HT2.flags.c_contiguous
+        assert params.HT.shape == (p2, n + p2)
+        assert params.HT.flags.c_contiguous
         assert params.alpha.shape == params.kappa.shape == (n + p2,)
         assert np.array_equal(params.HT[:, :n], (X2 @ V).T)
         c = (hyper.alpha ** -0.5) / math.sqrt(hyper.sigma2_beta2)
         assert np.array_equal(params.HT[:, n:], c * V.T)
-        assert np.allclose(params.HT2, params.HT * params.HT, rtol=1e-15, atol=0.0)
 
     def test_gaussian_vs_laplace_data_blocks(self):
         n = 5
@@ -214,26 +214,31 @@ class TestVarianceBlockAssembly:
         for sigma_eta2 in (0.25, 2.0):
             pe = eta2_conditional(state_for(spec, sigma_eta2=sigma_eta2), spec, data, None, axes)
             assert np.allclose(pe.HT[:, n:], c / sigma_eta2 * axes.V.T)
-            assert np.allclose(pe.HT2[:, n:], (c / sigma_eta2 * axes.V.T) ** 2)
             assert np.array_equal(pe.HT[:, :n], (spec.Psi2 @ axes.V).T)
 
     def test_builder_returns_the_chain_block(self, monkeypatch):
         # one conditional object per block and chain, rewritten in place
-        seen = []
-        builder = gibbs.eta2_conditional
+        seen = {"eta2_conditional": [], "inv_sigma_eta2_conditional": []}
 
-        def spy(*args, **kwargs):
-            params = builder(*args, **kwargs)
-            seen.append(params)
-            return params
+        def spy(name):
+            builder = getattr(gibbs, name)
 
-        monkeypatch.setattr(gibbs, "eta2_conditional", spy)
+            def spied(*args, **kwargs):
+                params = builder(*args, **kwargs)
+                seen[name].append(params)
+                return params
+
+            return spied
+
+        for name in seen:
+            monkeypatch.setattr(gibbs, name, spy(name))
         rng = np.random.default_rng(5)
         n = 20
         spec = make_spec(np.ones((n, 1)), np.ones((n, 1)), Psi2=rng.normal(size=(n, 3)))
         run_gibbs(spec, Dataset(y=rng.normal(size=n)), GibbsConfig(iterations=6, burn_in=1, seed=2))
-        assert len(seen) == 6
-        assert all(p is seen[0] for p in seen)
+        for name, objects in seen.items():
+            assert len(objects) == 6, name
+            assert all(p is objects[0] for p in objects), name
 
     def test_zero_residual_floored_not_raised(self):
         spec = make_spec(np.ones((3, 1)), np.ones((3, 1)))
@@ -417,10 +422,11 @@ class TestScaleBlocks:
         hyper = Hyperparams(omega=5.0, rho=5.0, trunc_lower=0.0)
         spec = make_spec(np.ones((4, 1)), np.ones((4, 1)), Psi2=np.ones((4, 3)))
         st = state_for(spec, eta2=[0.1, -0.2, 0.3])
-        params = inv_sigma_eta2_conditional(st, hyper)
+        block = inv_sigma_eta2_block(hyper, 3)
+        params = inv_sigma_eta2_conditional(st, hyper, block)
         assert params.HT.shape == (1, 4)
         rng = np.random.default_rng(11)
-        draws = np.array([fc_inv_sigma_eta2(st, hyper, rng) for _ in range(2000)])
+        draws = np.array([fc_inv_sigma_eta2(st, hyper, rng, None, block) for _ in range(2000)])
         assert draws.min() > 0.0
 
     def test_inv_sigma_eta2_reduction_to_truncated_log_gamma(self):
@@ -429,7 +435,8 @@ class TestScaleBlocks:
         spec = make_spec(np.ones((4, 1)), np.ones((4, 1)), Psi2=np.ones((4, 2)))
         st = state_for(spec, eta2=[0.0, 0.0])
         rng = np.random.default_rng(12)
-        draws = np.array([fc_inv_sigma_eta2(st, hyper, rng) for _ in range(5000)])
+        block = inv_sigma_eta2_block(hyper, 2)
+        draws = np.array([fc_inv_sigma_eta2(st, hyper, rng, None, block) for _ in range(5000)])
         rng_r = np.random.default_rng(13)
         ref = []
         while len(ref) < 5000:

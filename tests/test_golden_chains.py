@@ -10,6 +10,10 @@ its own exponential, ``hg_exp``, in place of the libm's, and the Normal
 blocks began to form their precision matrix with one symmetric rank-k
 update (``TestSbcVarianceRandomEffects`` and ``TestSbcCollinearLaplace`` in
 ``test_oracle.py`` and acceptance criteria 4 and 8 passed on that sampler).
+``truncated_scale`` alone was re-recorded when the kernel began to square
+the map itself: the rotated eta2 prior columns now square as ``(c V)^2``
+rather than ``V^2 c^2``, a rounding that moves only the envelope's curvature
+scale, never the target law.
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6, scipy 1.17.1,
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels), gcc 12.2
@@ -50,8 +54,8 @@ CASES = {
         SyntheticShape(p1=1, p2=1, r2=4),
         Hyperparams(trunc_lower=7.0),
         [
-            "6fa5f52d6b50039ea20dcda8ad5db5dedc7d00794866af188480ee49fdd55f65",
-            "3897796593eaf0030b7f69cb28ef68ab2a3edba25264eb7c0cbec185f5a34ea1",
+            "a9d51b314952c135fd290164aca6a9c3fd4515968252ecb8a30a4d2e401a362c",
+            "e4afa9e7dc8e80f155c54c9f24137279d6702aa2ab114a62e92782af67dd6c22",
         ],
     ),
 }

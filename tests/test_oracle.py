@@ -195,12 +195,13 @@ class TestRankMachinery:
                            eta2=np.array([0.3, -0.2]), sigma2_eta1=1.0, sigma_eta2=0.2)
         hyper = Hyperparams()
         builder = gibbs.inv_sigma_eta2_conditional
+        block = gibbs.inv_sigma_eta2_block(hyper, 2)
         with pytest.raises(RuntimeError, match="inside"):
             with kappa_doubling("inv_sigma_eta2"):
-                doubled = gibbs.inv_sigma_eta2_conditional(state, hyper)
+                doubled = gibbs.inv_sigma_eta2_conditional(state, hyper, block)
                 raise RuntimeError("inside")
         assert gibbs.inv_sigma_eta2_conditional is builder
-        assert np.array_equal(doubled.kappa, 2.0 * builder(state, hyper).kappa)
+        assert np.array_equal(doubled.kappa, 2.0 * builder(state, hyper, block).kappa)
         with pytest.raises(ValueError, match="sigma2_eta1"):
             with kappa_doubling("sigma2_eta1"):
                 pass
@@ -218,27 +219,39 @@ class TestRankMachinery:
         def digest():
             return gibbs.run_gibbs(spec, data, config)[0].to_matrix().tobytes()
 
+        def doubled_run(block, dim):
+            # the chain's blocks, and the rates of every scan of dimension dim
+            blocks, rates = [], []
+            builder, scan = getattr(gibbs, f"{block}_conditional"), _scan.scan_cmlg
+
+            def keep_block(*args, **kwargs):
+                blocks.append(builder(*args, **kwargs))
+                return blocks[-1]
+
+            def record(rng, params, *args, **kwargs):
+                if params.dim == dim:
+                    rates.append(params.kappa.copy())
+                return scan(rng, params, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(gibbs, f"{block}_conditional", keep_block)
+                m.setattr(_scan, "scan_cmlg", record)
+                with kappa_doubling(block):
+                    digest()
+            assert len(rates) == config.iterations
+            return blocks, rates
+
         plain = digest()
-        blocks, prior_rates = [], []
-        builder, scan = gibbs.eta2_conditional, _scan.scan_cmlg
-
-        def keep_block(*args, **kwargs):
-            blocks.append(builder(*args, **kwargs))
-            return blocks[-1]
-
-        def record(rng, params, *args, **kwargs):
-            if params.dim == 3:  # the eta2 scan
-                prior_rates.append(params.kappa[-3:].copy())
-            return scan(rng, params, *args, **kwargs)
-
-        monkeypatch.setattr(gibbs, "eta2_conditional", keep_block)
-        monkeypatch.setattr(_scan, "scan_cmlg", record)
-        with kappa_doubling("eta2"):
-            digest()
-        assert len(prior_rates) == config.iterations
-        for rates in prior_rates:
-            assert np.array_equal(rates, np.full(3, 2.0 * hyper.alpha))
+        blocks, rates = doubled_run("eta2", 3)
+        for r in rates:
+            assert np.array_equal(r[-3:], np.full(3, 2.0 * hyper.alpha))
         assert np.array_equal(blocks[-1].kappa[-3:], np.full(3, hyper.alpha))
+        tau_rates = np.append(np.full(3, hyper.alpha), hyper.rho)
+        blocks, rates = doubled_run("inv_sigma_eta2", 1)
+        for r in rates:
+            assert np.array_equal(r, 2.0 * tau_rates)
+        assert all(b is blocks[0] for b in blocks)
+        assert np.array_equal(blocks[-1].kappa, tau_rates)
         assert digest() == plain
 
 

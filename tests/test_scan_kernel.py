@@ -12,7 +12,10 @@ against ``np.exp`` on its own, and the build without vector-width clones
 (``-DHG_NO_CLONES``) against the dispatched one, bit for bit.
 """
 
+import ast
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetgibbs import _scan, gibbs
+from hetgibbs import _scan, gibbs, logconcave
 from hetgibbs.design import Hyperparams, RunCounters
 from hetgibbs.gibbs import CmlgParams, GibbsConfig, RotatedDesign, run_gibbs
 from hetgibbs.logconcave import LogConcaveError
@@ -51,7 +54,7 @@ def tau_case():
     shape = SyntheticShape(p1=1, p2=1, r2=4)
     hyper = Hyperparams(trunc_lower=7.0)
     _, _, state = state_at_truth(shape, hyper)
-    params = gibbs.inv_sigma_eta2_conditional(state, hyper)
+    params = gibbs.inv_sigma_eta2_conditional(state, hyper, gibbs.inv_sigma_eta2_block(hyper, 4))
     return params, np.array([max(1.0 / state.sigma_eta2, 7.0)]), 7.0
 
 
@@ -99,6 +102,36 @@ def test_kernel_failure_raises_the_reference_error():
         scan_cmlg_reference(np.random.default_rng(0), params, x0)
     with pytest.raises(LogConcaveError, match=r"could not locate a finite region .*coordinate 0"):
         _scan.scan_cmlg(np.random.default_rng(0), params, x0)
+
+
+def test_argtypes_match_the_kernel_signature():
+    # ctypes trusts argtypes: an argument missing on either side would let
+    # the kernel read past an array instead of failing
+    params = re.search(r"\bint hg_scan_cmlg\(([^)]*)\)", _scan.SOURCE.read_text()).group(1)
+    kinds = {"long": ctypes.c_long, "double": ctypes.c_double}
+    declared = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params.split(",")]
+    assert len(declared) == 9
+    assert _scan.load().hg_scan_cmlg.argtypes == declared
+
+
+def test_kernel_messages_are_the_reference_messages():
+    # every kernel status but out-of-memory names a failure of the Python
+    # envelope sampler, in its words; an f-string field takes the value of
+    # the module constant it names, and any other field stands for one word
+    def pattern(part):
+        if isinstance(part, ast.Constant):
+            return re.escape(part.value)
+        value = getattr(logconcave, getattr(part.value, "id", ""), None)
+        return r"\S+" if value is None else re.escape(str(value))
+
+    patterns = []
+    for node in ast.walk(ast.parse(Path(logconcave.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LogConcaveError":
+            arg = node.args[0]
+            patterns.append("".join(map(pattern, arg.values if isinstance(arg, ast.JoinedStr) else [arg])))
+    for status, message in _scan._MESSAGES.items():
+        if status != 10:
+            assert any(re.fullmatch(pat, message) for pat in patterns), (status, message)
 
 
 def test_flags_keep_the_draws_deterministic():
