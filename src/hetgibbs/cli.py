@@ -2,8 +2,10 @@
 
 Configuration lives in a flat key-value file with section headers (INI
 syntax); every key is schema-checked and unknown keys are errors, so typos
-fail loudly.  Command-line flags override file keys.  The HETGIBBS_THREADS
-environment variable caps concurrent chains, folds and replicates.
+fail loudly.  The ``[sampler]`` keys and the prior keys of ``[model]`` are the
+fields of ``GibbsConfig`` and ``Hyperparams``.  Each command-line flag is
+declared with the config key it overrides.  The HETGIBBS_THREADS environment
+variable caps concurrent chains, folds and replicates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import BasisConfig, Dataset, Hyperparams, build_design
-from .esn import EsvmSpec, build_reservoir, esvm_inputs, esvm_to_spec
+from .esn import DEFAULT_TRUNC, EsvmSpec, build_reservoir, esvm_inputs, esvm_to_spec
 from .gibbs import GibbsConfig, concatenate_chains, run_gibbs
 from .metrics import (
     CvScheme,
@@ -42,6 +44,9 @@ from .persist import (
 __all__ = ["ConfigError", "load_csv", "load_config", "cmd_fit", "cmd_cv", "cmd_validate", "cmd_simulate", "main"]
 
 
+_OUTPUT_DIR = "hetgibbs_out"  # [output] dir, and validate's --output, when unset
+
+
 class ConfigError(ValueError):
     """Configuration file or flag problem."""
 
@@ -52,7 +57,7 @@ def _parse_bool(v: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_list(v: str) -> list:
@@ -76,22 +81,10 @@ _SCHEMA = {
         "likelihood": str,
         "mean_basis_resolutions": _parse_intlist,
         "var_basis_resolutions": _parse_intlist,
-        "sigma2_beta1": float,
-        "sigma2_beta2": float,
-        "alpha": float,
-        "a": float,
-        "b": float,
-        "omega": float,
-        "rho": float,
-        "trunc_lower": float,
+        # the prior constants; each dataclass field is typed by its default
+        **{f.name: type(f.default) for f in fields(Hyperparams)},
     },
-    "sampler": {
-        "iterations": int,
-        "burn_in": int,
-        "thin": int,
-        "seed": int,
-        "chains": int,
-    },
+    "sampler": {f.name: type(f.default) for f in fields(GibbsConfig)},
     "esvm": {
         "enabled": _parse_bool,
         "n_h": int,
@@ -124,7 +117,10 @@ def load_config(path: str | None) -> dict:
         return cfg
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a line outside any section
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
@@ -136,15 +132,17 @@ def load_config(path: str | None) -> dict:
             conv = _SCHEMA[section][key]
             try:
                 cfg[section][key] = conv(raw)
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})")
     return cfg
 
 
-def _get(cfg: dict, section: str, key: str, default):
-    return cfg.get(section, {}).get(key, default)
+def _given(kv: dict, **params: str) -> dict:
+    """Keyword arguments ``{param: kv[key]}`` for each ``param=key`` set in ``kv``.
+
+    A key left unset falls to the default of the function it is passed to.
+    """
+    return {param: kv[key] for param, key in params.items() if key in kv}
 
 
 def load_csv(path: str) -> tuple[Dataset, dict]:
@@ -249,118 +247,105 @@ def _build_from_config(cfg: dict):
     ``rows`` holds the 1-based data row of the input file of each modeled
     observation (for an ESVM fit, of each modeled return).
     """
-    data_path = _get(cfg, "data", "path", None)
-    response = _get(cfg, "data", "response", None)
-    if data_path is None or response is None:
+    data_cfg, model_cfg, esvm_cfg = cfg["data"], cfg["model"], cfg["esvm"]
+    if "path" not in data_cfg or "response" not in data_cfg:
         raise ConfigError("data.path and data.response are required")
-    esvm = _get(cfg, "esvm", "enabled", False)
-    t_name = _get(cfg, "data", "time_index", None)
+    esvm = esvm_cfg.get("enabled", False)
+    t_name = data_cfg.get("time_index")
     if t_name is not None and not esvm:
         raise ConfigError("[data] time_index applies only to ESVM fits ([esvm] enabled = true)")
-    if esvm and _get(cfg, "model", "trunc_lower", None) is not None:
+    if esvm and "trunc_lower" in model_cfg:
         raise ConfigError("[model] trunc_lower does not apply to ESVM fits; set [esvm] c instead")
-    if esvm and _get(cfg, "model", "likelihood", "gaussian") != "gaussian":
+    if esvm and model_cfg.get("likelihood", "gaussian") != "gaussian":
         raise ConfigError("[model] likelihood must be gaussian for ESVM fits (the reduction is Gaussian)")
     for section, key in (("data", "mean_terms"), ("data", "var_terms"), ("data", "coords"),
                          ("model", "mean_basis_resolutions"), ("model", "var_basis_resolutions")):
-        if esvm and _get(cfg, section, key, None) is not None:
+        if esvm and key in cfg[section]:
             raise ConfigError(f"[{section}] {key} does not apply to ESVM fits "
                               "(the mean is one intercept, the variance design the reservoir)")
-    config = GibbsConfig(**cfg.get("sampler", {}))
+    config = GibbsConfig(**cfg["sampler"])
     hyper_keys = {f.name for f in fields(Hyperparams)}
-    hyper = Hyperparams(**{k: v for k, v in cfg.get("model", {}).items() if k in hyper_keys})
+    hyper = Hyperparams(**{k: v for k, v in model_cfg.items() if k in hyper_keys})
     if esvm:
         try:
-            hyper = replace(hyper, trunc_lower=_get(cfg, "esvm", "c", 7.0))
+            hyper = replace(hyper, trunc_lower=esvm_cfg.get("c", DEFAULT_TRUNC))
         except ValueError as exc:
             raise ConfigError(f"[esvm] c: {exc}") from exc
-    dataset, report = load_csv(data_path)
-    dataset = _extract_response(dataset, response)
+    dataset, report = load_csv(data_cfg["path"])
+    dataset = _extract_response(dataset, data_cfg["response"])
     file_row = np.arange(1, dataset.n + 1)  # 1-based data rows of the input file
+    if t_name is not None:
+        if t_name not in dataset.columns:
+            raise KeyError(f"unknown time_index column {t_name!r}")
+        order = np.argsort(dataset.columns[t_name], kind="stable")
+        dataset, file_row = dataset.subset(order), file_row[order]
+    mean_terms = data_cfg.get("mean_terms", [])
+    var_terms = data_cfg.get("var_terms", [])
+    coord_names = data_cfg.get("coords", [])
+    if coord_names:
+        dataset = _attach_coords(dataset, coord_names)
+    # an ESVM fit references no column: it drops rows with a missing return only
+    referenced = list(dict.fromkeys(mean_terms + var_terms + coord_names))
+    file_row = file_row[dataset.complete_cases(referenced)]
+    dataset, report["dropped_rows"] = dataset.drop_missing(referenced)
 
     if esvm:
-        if t_name is not None:
-            if t_name not in dataset.columns:
-                raise KeyError(f"unknown time_index column {t_name!r}")
-            order = np.argsort(dataset.columns[t_name], kind="stable")
-            dataset = dataset.subset(order)
-            file_row = file_row[order]
-        returns = dataset.y
-        keep = np.isfinite(returns)
-        dropped = int(returns.shape[0] - keep.sum())
-        if dropped:
-            returns = returns[keep]
-        report["dropped_rows"] = dropped
-        extra_names = _get(cfg, "esvm", "extra_columns", [])
-        extra = None
-        if extra_names:
-            cols = []
-            for name in extra_names:
-                if name not in dataset.columns:
-                    raise KeyError(f"unknown column {name!r}")
-                col = dataset.columns[name]
-                if col.dtype.kind != "f":
-                    raise ValueError(f"extra input column {name!r} is not numeric")
-                bad = keep & ~np.isfinite(col)
-                if bad.any():
-                    raise ValueError(
-                        f"extra input column {name!r} is not finite in data row {int(file_row[bad].min())}"
-                    )
-                cols.append(col[keep])
-            extra = np.column_stack(cols)
-        include_lag = _get(cfg, "esvm", "lag_feature", True)
-        inputs = esvm_inputs(returns, extra=extra, include_lag=include_lag)
-        seed_res = _get(cfg, "esvm", "reservoir_seed", config.seed)
+        cols = []
+        for name in esvm_cfg.get("extra_columns", []):
+            if name not in dataset.columns:
+                raise KeyError(f"unknown column {name!r}")
+            col = dataset.columns[name]
+            if col.dtype.kind != "f":
+                raise ValueError(f"extra input column {name!r} is not numeric")
+            bad = ~np.isfinite(col)
+            if bad.any():
+                raise ValueError(
+                    f"extra input column {name!r} is not finite in data row {int(file_row[bad].min())}"
+                )
+            cols.append(col)
+        inputs = esvm_inputs(dataset.y, extra=np.column_stack(cols) if cols else None,
+                             **_given(esvm_cfg, include_lag="lag_feature"))
         reservoir = build_reservoir(
-            n_h=_get(cfg, "esvm", "n_h", 50),
+            n_h=esvm_cfg.get("n_h", 50),
             p=inputs.shape[1],
-            seed=seed_res,
-            weight_sd=_get(cfg, "esvm", "weight_sd", 0.1),
-            delta=_get(cfg, "esvm", "delta", 0.1),
+            seed=esvm_cfg.get("reservoir_seed", config.seed),
+            **_given(esvm_cfg, weight_sd="weight_sd", delta="delta"),
         )
         es = EsvmSpec(
             reservoir=reservoir,
             inputs=inputs,
-            mean_prior_var=_get(cfg, "esvm", "mean_prior_var", hyper.sigma2_beta1),
+            mean_prior_var=esvm_cfg.get("mean_prior_var", hyper.sigma2_beta1),
             hyper=hyper,
         )
-        spec, gdata = esvm_to_spec(es, returns)
+        spec, gdata = esvm_to_spec(es, dataset.y)
         # the first kept return enters only as the lag of the second
-        return spec, gdata, config, report, file_row[keep][1:]
+        return spec, gdata, config, report, file_row[1:]
 
-    mean_terms = _get(cfg, "data", "mean_terms", [])
-    var_terms = _get(cfg, "data", "var_terms", [])
-    coord_names = _get(cfg, "data", "coords", [])
-    if coord_names:
-        dataset = _attach_coords(dataset, coord_names)
-    referenced = list(dict.fromkeys(mean_terms + var_terms + coord_names))
-    file_row = file_row[dataset.complete_cases(referenced)]
-    dataset, dropped = dataset.drop_missing(referenced)
-    report["dropped_rows"] = dropped
-    basis_mean = _get(cfg, "model", "mean_basis_resolutions", None)
-    basis_var = _get(cfg, "model", "var_basis_resolutions", None)
+    basis_mean = model_cfg.get("mean_basis_resolutions")
+    basis_var = model_cfg.get("var_basis_resolutions")
     spec = build_design(
         dataset,
         mean_terms,
         var_terms,
         basis_mean=BasisConfig(basis_mean) if basis_mean else None,
         basis_var=BasisConfig(basis_var) if basis_var else None,
-        likelihood=_get(cfg, "model", "likelihood", "gaussian"),
         hyper=hyper,
+        **_given(model_cfg, likelihood="likelihood"),
     )
     return spec, dataset, config, report, file_row
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(_get(cfg, "output", "dir", "hetgibbs_out"))
+    """Create the output directory; called once a command's inputs are accepted."""
+    out = Path(cfg["output"].get("dir", _OUTPUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_fit(cfg: dict) -> int:
     """Fit the model, write chains, summary, metrics and metadata."""
-    out = _out_dir(cfg)
     spec, data, config, report, rows = _build_from_config(cfg)
+    out = _out_dir(cfg)
     resolved = _resolved_flat(cfg)
     resolved["sampler.resolved_seed"] = config.seed
     t0 = time.perf_counter()
@@ -378,7 +363,7 @@ def cmd_fit(cfg: dict) -> int:
         "msev_insample": format_float(msev(data.y, mu_hat, sigma2_hat)),
         "draws": len(pooled),
     }
-    if _get(cfg, "esvm", "enabled", False):
+    if cfg["esvm"].get("enabled", False):
         sig_draws = spec.variance(pooled.beta2, pooled.eta2)
         write_table_csv(
             out / "volatility.csv",
@@ -413,11 +398,10 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_cv(cfg: dict) -> int:
     """K-fold cross validation; writes held-out predictions and pooled MSEV."""
-    out = _out_dir(cfg)
     spec, data, config, report, rows = _build_from_config(cfg)
-    folds = _get(cfg, "cv", "folds", 5)
-    cv_seed = _get(cfg, "cv", "cv_seed", _get(cfg, "sampler", "seed", 0))
-    scheme = CvScheme.make(data.n, folds=folds, seed=cv_seed)
+    cv_seed = cfg["cv"].get("cv_seed", config.seed)
+    scheme = CvScheme.make(data.n, seed=cv_seed, **_given(cfg["cv"], folds="folds"))
+    out = _out_dir(cfg)
     resolved = _resolved_flat(cfg)
     t0 = time.perf_counter()
     result = kfold_cv(spec, data, config, scheme)
@@ -450,7 +434,7 @@ def cmd_cv(cfg: dict) -> int:
     return 0
 
 
-def cmd_validate(suite: str, seed: int, out_dir: str, replicates: int = 150) -> int:
+def cmd_validate(suite: str = "all", seed: int = 0, out_dir: str = _OUTPUT_DIR, replicates: int = 150) -> int:
     """Run a suite's acceptance checks (``oracle.check_*``) at ``seed``; write a report.
 
     ``mlg`` runs criteria 1-3, ``laplace`` 6, ``sbc`` 4 over ``replicates`` replicates.
@@ -485,17 +469,14 @@ def cmd_simulate(cfg: dict) -> int:
     """Write a synthetic dataset CSV plus the generating truth."""
     from . import oracle
 
-    out = _out_dir(cfg)
-    shape = oracle.SyntheticShape(
-        p1=_get(cfg, "simulate", "p1", 2),
-        p2=_get(cfg, "simulate", "p2", 2),
-        r1=_get(cfg, "simulate", "r1", 0),
-        r2=_get(cfg, "simulate", "r2", 0),
-        likelihood=_get(cfg, "simulate", "likelihood", "gaussian"),
-    )
-    seed = _get(cfg, "simulate", "truth_seed", _get(cfg, "sampler", "seed", 0))
-    n = _get(cfg, "simulate", "n", 500)
+    sim_cfg = cfg["simulate"]
+    shape_keys = {f.name for f in fields(oracle.SyntheticShape)}
+    # two variance columns, where SyntheticShape has one
+    shape = oracle.SyntheticShape(**{"p2": 2, **{k: v for k, v in sim_cfg.items() if k in shape_keys}})
+    seed = sim_cfg.get("truth_seed", cfg["sampler"].get("seed", GibbsConfig.seed))
+    n = sim_cfg.get("n", 500)
     data, truth = oracle.generate_synthetic(shape, seed=seed, n=n)
+    out = _out_dir(cfg)
     names = ["y"] + list(data.columns)
     cols = [data.y] + [data.columns[k] for k in data.columns]
     resolved = _resolved_flat(cfg)
@@ -514,24 +495,6 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    pairs = [
-        ("data", "path", "data"),
-        ("data", "response", "response"),
-        ("output", "dir", "output"),
-        ("sampler", "seed", "seed"),
-        ("sampler", "chains", "chains"),
-        ("sampler", "iterations", "iterations"),
-        ("sampler", "burn_in", "burn_in"),
-        ("sampler", "thin", "thin"),
-        ("cv", "folds", "folds"),
-    ]
-    for section, key, attr in pairs:
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.setdefault(section, {})[key] = val
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hetgibbs",
@@ -539,48 +502,43 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, summary, *flags):
+        """A config-driven subcommand: ``--config`` and one flag per overridden config key."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="config file (key = value with [section] headers)")
-        p.add_argument("--data", help="override data.path")
-        p.add_argument("--response", help="override data.response")
-        p.add_argument("--output", help="override output.dir")
-        p.add_argument("--seed", type=int, help="override sampler.seed")
-        p.add_argument("--chains", type=int, help="override sampler.chains")
-        p.add_argument("--iterations", type=int, help="override sampler.iterations")
-        p.add_argument("--burn-in", dest="burn_in", type=int, help="override sampler.burn_in")
-        p.add_argument("--thin", type=int, help="override sampler.thin")
+        for flag, dest in flags:
+            section, key = dest.split(".")
+            p.add_argument(flag, dest=dest, type=_SCHEMA[section][key], metavar=key.upper(),
+                           help=f"override {dest}")
 
-    p_fit = sub.add_parser("fit", help="fit the model and persist the posterior")
-    add_common(p_fit)
+    run_flags = (("--data", "data.path"), ("--response", "data.response"), ("--output", "output.dir"),
+                 ("--seed", "sampler.seed"), ("--chains", "sampler.chains"),
+                 ("--iterations", "sampler.iterations"), ("--burn-in", "sampler.burn_in"),
+                 ("--thin", "sampler.thin"))
+    add_command("fit", "fit the model and persist the posterior", *run_flags)
+    add_command("cv", "k-fold cross validation", *run_flags, ("--folds", "cv.folds"))
 
-    p_cv = sub.add_parser("cv", help="k-fold cross validation")
-    add_common(p_cv)
-    p_cv.add_argument("--folds", type=int, help="override cv.folds")
+    # unset flags stay out of the namespace, so cmd_validate's defaults apply
+    p_val = sub.add_parser("validate", help="run sampler validation suites", argument_default=argparse.SUPPRESS)
+    p_val.add_argument("--suite", help="mlg, laplace, sbc or all")
+    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--replicates", type=int, help="rank-calibration replicates for the sbc suite")
+    p_val.add_argument("--output", dest="out_dir", metavar="DIR")
 
-    p_val = sub.add_parser("validate", help="run sampler validation suites")
-    p_val.add_argument("--suite", default="all", help="mlg, laplace, sbc or all")
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--replicates", type=int, default=150,
-                       help="rank-calibration replicates for the sbc suite")
-    p_val.add_argument("--output", default="hetgibbs_out")
-
-    p_sim = sub.add_parser("simulate", help="write a synthetic dataset and its truth")
-    add_common(p_sim)
+    add_command("simulate", "write a synthetic dataset and its truth",
+                ("--output", "output.dir"), ("--seed", "sampler.seed"))
 
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.suite, args.seed, args.output, args.replicates)
+            return cmd_validate(**{k: v for k, v in vars(args).items() if k != "command"})
         cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+        for dest, value in vars(args).items():  # flags override the file
+            section, _, key = dest.partition(".")
+            if key and value is not None:
+                cfg[section][key] = value
+        return {"fit": cmd_fit, "cv": cmd_cv, "simulate": cmd_simulate}[args.command](cfg)
+    except (KeyError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 1

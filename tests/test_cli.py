@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,30 @@ class TestConfig:
         assert cfg["data"]["mean_terms"] == ["a", "b"]
         assert cfg["esvm"]["enabled"] is True
 
+    @pytest.mark.parametrize("body, named", [("[esvm]\nenabled = maybe\n", "[esvm] enabled: 'maybe'"),
+                                             ("[sampler]\nseed = x\n", "[sampler] seed: 'x'")],
+                             ids=["boolean", "integer"])
+    def test_bad_value_named(self, tmp_path, body, named):
+        p = tmp_path / "c.ini"
+        p.write_text(body)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(str(p))
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.ini")
+
+    @pytest.mark.parametrize("text, named", [("[sampler]\nseed = 1\nseed = 2\n", "line  3"),
+                                             ("seed = 1\n", "line: 1")],
+                             ids=["repeated_key", "no_section_header"])
+    def test_malformed_file_named(self, tmp_path, capsys, text, named):
+        p = tmp_path / "c.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(str(p))
+        assert main(["fit", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c.ini" in err and named in err
 
 
 class TestChainRoundTrip:
@@ -215,6 +238,49 @@ class TestCommands:
         header, _, mat = read_chain_csv(tmp_path / "out" / "chain_0.csv")
         assert header["sampler.seed"] == "11"
         assert mat.shape[0] == 40
+
+    def test_every_flag_sets_its_key(self, tmp_path):
+        # each flag's value reaches the provenance lines under its own config key
+        cfg = simulate_then_fit(tmp_path)
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        (tmp_path / "data2.csv").write_text("\n".join(["resp" + lines[0][1:]] + lines[1:]) + "\n")
+        run = {"--data": ("data.path", str(tmp_path / "data2.csv")), "--response": ("data.response", "resp"),
+               "--seed": ("sampler.seed", "8"), "--chains": ("sampler.chains", "2"),
+               "--iterations": ("sampler.iterations", "50"), "--burn-in": ("sampler.burn_in", "10"),
+               "--thin": ("sampler.thin", "2")}
+        commands = {"fit": ("chain_1.csv", run),
+                    "cv": ("cv_predictions.csv", {**run, "--folds": ("cv.folds", "3")}),
+                    "simulate": ("synthetic.csv", {"--seed": ("sampler.seed", "8")})}
+        for command, (output, flags) in commands.items():
+            flags = {**flags, "--output": ("output.dir", str(tmp_path / command))}
+            argv = [command, "--config", str(cfg)] + [a for flag, (_, v) in flags.items() for a in (flag, v)]
+            assert main(argv) == 0
+            header, _, _ = read_chain_csv(tmp_path / command / output)
+            for flag, (key, value) in flags.items():
+                assert header[key] == value, flag
+        # simulate's truth seed is inherited from sampler.seed
+        assert "\nseed = 8\n" in (tmp_path / "simulate" / "truth.txt").read_text()
+
+    @pytest.mark.parametrize("flag", ["--data", "--response", "--chains", "--iterations", "--burn-in", "--thin"])
+    def test_simulate_rejects_sampler_flags(self, tmp_path, flag):
+        # simulate draws no chain and reads no data, so these flags are not offered
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--output", str(tmp_path), flag, "1"])
+        assert exit_info.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, body", [
+        ("fit", "[data]\npath = absent.csv\nresponse = y\n"),
+        ("cv", "[data]\npath = absent.csv\nresponse = y\n"),
+        ("simulate", "[simulate]\np1 = 0\n"),
+    ], ids=["fit", "cv", "simulate"])
+    def test_rejected_run_creates_nothing(self, tmp_path, monkeypatch, capsys, command, body):
+        # the default output directory is made only once the inputs are accepted
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text(body)
+        assert main([command, "--config", "c.ini"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
     def test_cv_end_to_end(self, tmp_path):
         cfg = simulate_then_fit(tmp_path)
