@@ -26,20 +26,10 @@ from .esn import (
     reservoir_states,
 )
 from .gibbs import (
-    ChainState,
-    CmlgParams,
     GibbsConfig,
     GibbsError,
     PosteriorChain,
     concatenate_chains,
-    fc_beta1,
-    fc_beta2,
-    fc_eta1,
-    fc_eta2,
-    fc_inv_sigma_eta2,
-    fc_s,
-    fc_sigma2_eta1,
-    inverse_gaussian_sample,
     run_gibbs,
 )
 from .metrics import (
