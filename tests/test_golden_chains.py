@@ -23,10 +23,18 @@ loop.  They do not depend on the libm's ``exp``.  Another BLAS build or CPU
 kernel may round the Normal solves differently, and another libm may round
 the ``log``, ``log1p`` and ``expm1`` of the scan's envelope, and so move the
 digests without any change to this package.
+
+The last three cases cover the driver's absent blocks: no eta2 or scale
+block (r2 = 0), no eta1 or sigma2_eta1 block under the Laplace likelihood
+(r1 = 0), and the echo-state shape, whose variance predictor lives entirely
+in ``Psi2`` (p2 = 0 and r1 = 0, built by replacing ``X2`` with a zero-width
+block, since ``SyntheticShape`` requires an intercept there).
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from hetgibbs.design import Hyperparams
@@ -58,12 +66,39 @@ CASES = {
             "e4afa9e7dc8e80f155c54c9f24137279d6702aa2ab114a62e92782af67dd6c22",
         ],
     ),
+    "no_variance_random_effects": (
+        SyntheticShape(p1=2, p2=2, r1=3, r2=0),
+        Hyperparams(),
+        [
+            "4e5128d7e210f8f2404f32fa32aaa7b4fb118ad183c58d9917480d4c509c191c",
+            "8ede91d244edf40219bd8b13a93f428172b62a2f41329bdfacd2c62091f73269",
+        ],
+    ),
+    "laplace_no_mean_random_effects": (
+        SyntheticShape(p1=2, p2=2, r1=0, r2=3, likelihood="laplace"),
+        Hyperparams(),
+        [
+            "6fc9b37131b5a903c7d46fde768c169e2578ad5a8f732a7baedc96c6cba7109e",
+            "3efe85ae15e75f55cb667cdb87bbbd141ec4703b1c5006b43c99979e30030081",
+        ],
+    ),
+    "esvm_shape": (
+        SyntheticShape(p1=1, p2=1, r2=4),
+        Hyperparams(trunc_lower=7.0),
+        [
+            "894108848f7a9c5477dd1935d25fbb9cdb8ee817559add16c89c297dcb1a6ac2",
+            "8956bd8ddf7ecc1e2ee0f6b7a259e288675d68e241a7659d461c23274a03401c",
+        ],
+    ),
 }
+N = 60
+# design blocks replaced after the synthetic spec is built
+SPEC_EDITS = {"esvm_shape": {"X2": np.empty((N, 0))}}
 
 
-def chain_digests(shape, hyper):
-    data, _ = generate_synthetic(shape, seed=2024, n=60)
-    spec = synthetic_model_spec(data, shape, hyper)
+def chain_digests(shape, hyper, **edits):
+    data, _ = generate_synthetic(shape, seed=2024, n=N)
+    spec = dataclasses.replace(synthetic_model_spec(data, shape, hyper), **edits)
     chains = run_gibbs(spec, data, GibbsConfig(iterations=80, burn_in=20, seed=31, chains=2))
     return [hashlib.sha256(c.to_matrix().tobytes()).hexdigest() for c in chains]
 
@@ -71,4 +106,4 @@ def chain_digests(shape, hyper):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fixed_seed_chains_unchanged(name):
     shape, hyper, expected = CASES[name]
-    assert chain_digests(shape, hyper) == expected
+    assert chain_digests(shape, hyper, **SPEC_EDITS.get(name, {})) == expected
