@@ -183,7 +183,9 @@ class ModelSpec:
     ``Psi1``/``Psi2`` the (possibly zero-width) random-effect blocks.
     ``build_design`` always produces ``p2 >= 1``; a zero-width ``X2`` is
     permitted for directly constructed specs whose variance predictor lives
-    entirely in ``Psi2`` (the echo-state reduction).
+    entirely in ``Psi2`` (the echo-state reduction).  Every block must be
+    finite; the first non-finite entry is named by block and by its
+    (0-based) row and column.
     """
 
     X1: np.ndarray
@@ -208,9 +210,14 @@ class ModelSpec:
         self.Psi2 = np.asarray(self.Psi2, dtype=float).reshape(n, -1)
         if self.X1.shape[1] < 1:
             raise ValueError("X1 must contain at least an intercept column")
-        for name, block in (("X2", self.X2), ("Psi1", self.Psi1), ("Psi2", self.Psi2)):
+        for name in ("X1", "Psi1", "X2", "Psi2"):
+            block = getattr(self, name)
             if block.shape[0] != n:
                 raise ValueError(f"{name} has {block.shape[0]} rows, expected {n}")
+            bad = np.argwhere(~np.isfinite(block))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"design block {name} has a non-finite entry at row {i}, column {j}")
         if self.likelihood not in ("gaussian", "laplace"):
             raise ValueError("likelihood must be 'gaussian' or 'laplace'")
         if not self.x1_names:

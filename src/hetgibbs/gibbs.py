@@ -30,9 +30,13 @@ builder (``beta2_conditional``, ``eta2_conditional``) rewrites only the
 ``n`` data rates and the ``k`` prior columns and hands that object to the
 kernel.  The scalar block of the reciprocal scale ``1/sigma_eta2`` is kept
 the same way (``inv_sigma_eta2_block``); its builder rewrites only the map
-entries of ``eta2``.  The ``fc_*`` updates and the builders are module
-globals looked up per call, so a negative control (``oracle.kappa_doubling``)
-or a tracer can rebind them from outside.
+entries of ``eta2``.
+
+A chain's sweep is one table, built once per chain by ``_chain_blocks``: the
+model's blocks in update order, each with the conditional the chain keeps
+for it.  The ``fc_*`` updates and the builders are module globals looked up
+per call, so a negative control (``oracle.kappa_doubling``) or a tracer can
+rebind them from outside.
 
 ``CmlgParams`` is the form every variance-side builder returns and the
 kernel reads: a cMLG density proportional to
@@ -335,9 +339,7 @@ def fc_eta1(
     rng: np.random.Generator,
     counters: RunCounters | None = None,
 ) -> np.ndarray:
-    """Draw the mean-side random effects; no-op for a zero-width block."""
-    if spec.r1 == 0:
-        return np.empty(0)
+    """Draw the mean-side random effects (r1 >= 1)."""
     return _mean_block(
         spec.Psi1,
         state.beta1 @ spec.X1.T,
@@ -373,8 +375,6 @@ class RotatedDesign:
 
     def __init__(self, M: np.ndarray, spec: ModelSpec):
         M = np.asarray(M, dtype=float)
-        if not np.all(np.isfinite(M)):
-            raise ValueError("variance-side design contains non-finite values")
         n, k = M.shape
         _, V = np.linalg.eigh(M.T @ M)
         V.flags.writeable = False
@@ -605,47 +605,54 @@ def initial_state(spec: ModelSpec, data: Dataset) -> ChainState:
     return state
 
 
+def _chain_blocks(spec: ModelSpec, data: Dataset) -> list:
+    """One chain's sweep: the model's blocks in update order.
+
+    Each entry is ``(name, attr, draw)``: ``draw(state, rng, counters)``
+    returns the new value of ``state.<attr>``, and ``name`` names the block
+    in errors.  Blocks the model does not have are left out.  The
+    conditionals a chain keeps are built here, once, from the design alone,
+    so every draw stays an exact Gibbs update.  Each draw calls its ``fc_*``
+    module global when it runs, so a name rebound from outside reaches it.
+    """
+    blocks = []
+    if spec.likelihood == "laplace":
+        blocks.append(("s", "s", lambda st, rng, ct: fc_s(st, spec, data, rng, ct)))
+    blocks.append(("beta1", "beta1", lambda st, rng, ct: fc_beta1(st, spec, data, rng, ct)))
+    if spec.r1:
+        blocks.append(("eta1", "eta1", lambda st, rng, ct: fc_eta1(st, spec, data, rng, ct)))
+    if spec.p2:
+        x2_axes = RotatedDesign(spec.X2, spec)
+        blocks.append(("beta2", "beta2", lambda st, rng, ct: fc_beta2(st, spec, data, rng, ct, x2_axes)))
+    if spec.r2:
+        psi2_axes = RotatedDesign(spec.Psi2, spec)
+        blocks.append(("eta2", "eta2", lambda st, rng, ct: fc_eta2(st, spec, data, rng, ct, psi2_axes)))
+    if spec.r1:
+        blocks.append(("sigma2_eta1", "sigma2_eta1", lambda st, rng, ct: fc_sigma2_eta1(st, spec, rng)))
+    if spec.r2:
+        tau_block = inv_sigma_eta2_block(spec.hyper, spec.r2)
+        blocks.append(("inv_sigma_eta2", "sigma_eta2",
+                       lambda st, rng, ct: 1.0 / fc_inv_sigma_eta2(st, spec.hyper, rng, ct, tau_block)))
+    return blocks
+
+
 def _run_single_chain(spec: ModelSpec, data: Dataset, config: GibbsConfig, seed: int) -> PosteriorChain:
     rng = np.random.default_rng(seed)
     state = initial_state(spec, data)
     counters = RunCounters()
-    # fixed for the whole chain, so every block draw stays an exact Gibbs update
-    beta2_axes = RotatedDesign(spec.X2, spec) if spec.p2 else None
-    eta2_axes = RotatedDesign(spec.Psi2, spec) if spec.r2 else None
-    tau_block = inv_sigma_eta2_block(spec.hyper, spec.r2) if spec.r2 else None
+    blocks = _chain_blocks(spec, data)
     draws = {
         name: np.empty((config.n_stored,) + np.shape(getattr(state, name)))
         for name in BLOCKS
         if getattr(state, name) is not None
     }
-
-    laplace = spec.likelihood == "laplace"
     k = 0
     for it in range(config.iterations):
-        # the fc_* names are looked up per call so they can be rebound from outside
         try:
-            if laplace:
-                block = "s"
-                state.s = fc_s(state, spec, data, rng, counters)
-            block = "beta1"
-            state.beta1 = fc_beta1(state, spec, data, rng, counters)
-            if spec.r1:
-                block = "eta1"
-                state.eta1 = fc_eta1(state, spec, data, rng, counters)
-            if spec.p2:
-                block = "beta2"
-                state.beta2 = fc_beta2(state, spec, data, rng, counters, beta2_axes)
-            if spec.r2:
-                block = "eta2"
-                state.eta2 = fc_eta2(state, spec, data, rng, counters, eta2_axes)
-            if spec.r1:
-                block = "sigma2_eta1"
-                state.sigma2_eta1 = fc_sigma2_eta1(state, spec, rng)
-            if spec.r2:
-                block = "inv_sigma_eta2"
-                state.sigma_eta2 = 1.0 / fc_inv_sigma_eta2(state, spec.hyper, rng, counters, tau_block)
+            for name, attr, draw in blocks:
+                setattr(state, attr, draw(state, rng, counters))
         except Exception as exc:
-            raise GibbsError(f"iteration {it}, block {block}: {exc}") from exc
+            raise GibbsError(f"iteration {it}, block {name}: {exc}") from exc
         if it >= config.burn_in and (it - config.burn_in) % config.thin == config.thin - 1:
             for name, stored in draws.items():
                 stored[k] = getattr(state, name)
@@ -661,11 +668,9 @@ def _chain_worker(args):
 def run_gibbs(spec: ModelSpec, data: Dataset, config: GibbsConfig) -> list:
     """Run the Gibbs sampler; returns one PosteriorChain per configured chain.
 
-    Chain c uses seed ``config.seed + c``.  Update order within an
-    iteration is fixed: augmentation scales (Laplace mode), mean fixed
-    effects, mean random effects, variance fixed effects, variance random
-    effects, mean-side variance component, variance-side scale.  A rebound
-    ``fc_*`` name or builder reaches every chain, also in forked workers.
+    Chain c uses seed ``config.seed + c``; each iteration sweeps the blocks
+    of ``_chain_blocks`` in its fixed order.  A rebound ``fc_*`` name or
+    builder reaches every chain, also in forked workers.
     """
     if data.n != spec.n:
         raise ValueError(f"dataset has {data.n} rows but the design has {spec.n}")

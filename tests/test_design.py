@@ -119,6 +119,14 @@ class TestModelSpec:
                          X2=np.empty((5, 0)), Psi2=np.ones((5, 2)))
         assert spec.p2 == 0 and spec.r2 == 2
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["X1", "Psi1", "X2", "Psi2"])
+    def test_nonfinite_design_entry_named(self, block, value):
+        blocks = {name: np.ones((6, 3)) for name in ("X1", "Psi1", "X2", "Psi2")}
+        blocks[block][4, 2] = value
+        with pytest.raises(ValueError, match=f"design block {block} has a non-finite entry at row 4, column 2"):
+            ModelSpec(**blocks)
+
     def test_subset_rows(self):
         spec = build_design(toy_dataset(), ["temp"], ["soil"])
         sub = spec.subset_rows(np.arange(10))

@@ -124,12 +124,6 @@ class TestMeanBlocks:
         b = fc_beta1(state, spec, data, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
-    def test_eta1_zero_width_noop(self):
-        spec = make_spec(np.ones((4, 1)), np.ones((4, 1)))
-        data = Dataset(y=np.zeros(4))
-        out = fc_eta1(state_for(spec), spec, data, np.random.default_rng(0))
-        assert out.shape == (0,)
-
     def test_eta1_identity_ridge_shrinkage(self):
         n = 6
         spec = make_spec(np.ones((n, 1)), np.ones((n, 1)), Psi1=np.eye(n))
@@ -492,15 +486,40 @@ class TestLaplaceAugmentation:
         assert np.all(s > 0.0)
 
 
+# every sampled block, as the fc_* update names it and errors name it
+FC_BLOCKS = ("s", "beta1", "eta1", "beta2", "eta2", "sigma2_eta1", "inv_sigma_eta2")
+
+
 class TestRunGibbs:
-    def small_problem(self, n=40, seed=0, likelihood="gaussian"):
+    def small_problem(self, n=40, seed=0, likelihood="gaussian", p2=2, r1=0, r2=0):
         rng = np.random.default_rng(seed)
         X1 = np.column_stack([np.ones(n), rng.normal(size=n)])
-        X2 = np.column_stack([np.ones(n), rng.normal(size=n)])
-        spec = ModelSpec(X1=X1, Psi1=np.empty((n, 0)), X2=X2, Psi2=np.empty((n, 0)),
-                         likelihood=likelihood, hyper=Hyperparams())
+        X2 = np.column_stack([np.ones(n), rng.normal(size=n)])[:, :p2]
         data = Dataset(y=rng.normal(size=n))
+        spec = ModelSpec(X1=X1, Psi1=rng.normal(size=(n, r1)), X2=X2, Psi2=rng.normal(size=(n, r2)),
+                         likelihood=likelihood, hyper=Hyperparams())
         return spec, data
+
+    @pytest.mark.parametrize("shape, order", [
+        (dict(likelihood="laplace", r1=2, r2=3),
+         ["s", "beta1", "eta1", "beta2", "eta2", "sigma2_eta1", "inv_sigma_eta2"]),
+        (dict(p2=0, r2=3), ["beta1", "eta2", "inv_sigma_eta2"]),
+        (dict(r1=2), ["beta1", "eta1", "beta2", "sigma2_eta1"]),
+    ], ids=["laplace_full", "esvm_shape", "no_variance_random_effects"])
+    def test_update_order_skips_absent_blocks(self, monkeypatch, shape, order):
+        spec, data = self.small_problem(**shape)
+        calls = []
+
+        def spy(block, update):
+            def traced(*args, **kwargs):
+                calls.append(block)
+                return update(*args, **kwargs)
+            return traced
+
+        for block in FC_BLOCKS:
+            monkeypatch.setattr(gibbs, f"fc_{block}", spy(block, getattr(gibbs, f"fc_{block}")))
+        run_gibbs(spec, data, GibbsConfig(iterations=2, burn_in=1, seed=0))
+        assert calls == order * 2
 
     def test_stored_length(self):
         spec, data = self.small_problem()
@@ -572,14 +591,15 @@ class TestRunGibbs:
                 fc_beta1(st, spec, data, np.random.default_rng(0), counters)
         assert counters.exp_clamps == 6
 
-    def test_error_carries_iteration_index(self, monkeypatch):
-        spec, data = self.small_problem()
+    @pytest.mark.parametrize("block", FC_BLOCKS)
+    def test_error_carries_iteration_index(self, monkeypatch, block):
+        spec, data = self.small_problem(likelihood="laplace", r1=2, r2=3)
 
         def failing(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(gibbs, "beta2_conditional", failing)
-        with pytest.raises(GibbsError, match="iteration 0, block beta2: synthetic failure"):
+        monkeypatch.setattr(gibbs, f"fc_{block}", failing)
+        with pytest.raises(GibbsError, match=f"iteration 0, block {block}: synthetic failure"):
             run_gibbs(spec, data, GibbsConfig(iterations=10, burn_in=2, seed=0))
 
     def test_chain_pins_blas_to_one_thread_and_restores(self, monkeypatch):
